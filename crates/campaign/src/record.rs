@@ -97,7 +97,8 @@ pub fn scoring_config_for(op: Operator, policy: &OperatorPolicy) -> ScoringConfi
 }
 
 impl RunRecord {
-    /// Builds a record from a simulated run and its analysis.
+    /// Builds a record from a simulated run and its analysis, folding the
+    /// trace one event at a time as the streamed campaign does.
     #[allow(clippy::too_many_arguments)]
     pub fn from_run(
         operator: Operator,
@@ -109,38 +110,91 @@ impl RunRecord {
         analysis: &RunAnalysis,
         predictions: &PredictionReport,
     ) -> RunRecord {
-        let duration_ms = out.events.last().map_or(0, |e| e.t().millis());
-        let prob_ch = problem_channel(operator);
-        let prob_rat = problem_channel_rat(operator);
-
-        let mut meas_results = 0u64;
-        let mut problem_channel_rsrp = Vec::new();
-        let mut scg_meas_delays_ms = Vec::new();
-        let mut scg_released_at: Option<u64> = None;
+        let mut fold = RecordFold::new(operator);
         for ev in &out.events {
-            if let TraceEvent::Rrc(rec) = ev {
-                match &rec.msg {
-                    RrcMessage::MeasurementReport(r) => {
-                        meas_results += r.results.len() as u64;
-                        for m in &r.results {
-                            if m.cell.arfcn == prob_ch && m.cell.rat == prob_rat {
-                                problem_channel_rsrp.push(m.meas.rsrp.db());
-                            }
-                        }
-                        if r.trigger == Some(Trigger::B1) {
-                            if let Some(rel) = scg_released_at.take() {
-                                scg_meas_delays_ms.push(rec.t.millis().saturating_sub(rel));
-                            }
-                        }
+            fold.feed(ev);
+        }
+        fold.record(area, location, device, seed, analysis, predictions)
+    }
+}
+
+/// The trace-derived part of a [`RunRecord`], folded one event at a time
+/// so a run's events can stream past without being kept. The record's
+/// vectors are built exact-fit (a `Vec` clone or `to_vec` allocates just
+/// its length); the fold keeps its buffers for the next run.
+#[derive(Debug)]
+pub(crate) struct RecordFold {
+    operator: Operator,
+    last_t: u64,
+    meas_results: u64,
+    problem_channel_rsrp: Vec<f64>,
+    scg_meas_delays_ms: Vec<u64>,
+    scg_released_at: Option<u64>,
+}
+
+impl RecordFold {
+    /// An empty fold for a run of `operator`.
+    pub(crate) fn new(operator: Operator) -> RecordFold {
+        RecordFold {
+            operator,
+            last_t: 0,
+            meas_results: 0,
+            problem_channel_rsrp: Vec::new(),
+            scg_meas_delays_ms: Vec::new(),
+            scg_released_at: None,
+        }
+    }
+
+    /// Empties the fold for a new run of `operator`, keeping capacity.
+    pub(crate) fn reset(&mut self, operator: Operator) {
+        self.operator = operator;
+        self.last_t = 0;
+        self.meas_results = 0;
+        self.problem_channel_rsrp.clear();
+        self.scg_meas_delays_ms.clear();
+        self.scg_released_at = None;
+    }
+
+    /// Folds in the run's next event.
+    pub(crate) fn feed(&mut self, ev: &TraceEvent) {
+        self.last_t = ev.t().millis();
+        let TraceEvent::Rrc(rec) = ev else { return };
+        match &rec.msg {
+            RrcMessage::MeasurementReport(r) => {
+                self.meas_results += r.results.len() as u64;
+                let (ch, rat) = (
+                    problem_channel(self.operator),
+                    problem_channel_rat(self.operator),
+                );
+                for m in &r.results {
+                    if m.cell.arfcn == ch && m.cell.rat == rat {
+                        self.problem_channel_rsrp.push(m.meas.rsrp.db());
                     }
-                    RrcMessage::Reconfiguration(body) if body.scg_release => {
-                        scg_released_at = Some(rec.t.millis());
+                }
+                if r.trigger == Some(Trigger::B1) {
+                    if let Some(rel) = self.scg_released_at.take() {
+                        self.scg_meas_delays_ms
+                            .push(rec.t.millis().saturating_sub(rel));
                     }
-                    _ => {}
                 }
             }
+            RrcMessage::Reconfiguration(body) if body.scg_release => {
+                self.scg_released_at = Some(rec.t.millis());
+            }
+            _ => {}
         }
+    }
 
+    /// The run's record, from the events folded so far and its analysis.
+    pub(crate) fn record(
+        &self,
+        area: &str,
+        location: usize,
+        device: PhoneModel,
+        seed: u64,
+        analysis: &RunAnalysis,
+        predictions: &PredictionReport,
+    ) -> RunRecord {
         // Pair each classified OFF transition with its cycle's OFF time.
         let mut off_by_type = Vec::new();
         for tr in &analysis.off_transitions {
@@ -153,14 +207,15 @@ impl RunRecord {
                 off_by_type.push((tr.loop_type, c.off_ms()));
             }
         }
+        off_by_type.shrink_to_fit();
 
         RunRecord {
-            operator,
+            operator: self.operator,
             area: area.to_string(),
             location,
             device,
             seed,
-            minutes: duration_ms as f64 / 60_000.0,
+            minutes: self.last_t as f64 / 60_000.0,
             has_loop: analysis.has_loop(),
             persistence: analysis.loops.first().map(|l| l.persistence),
             loop_type: analysis.dominant_loop_type(),
@@ -170,9 +225,9 @@ impl RunRecord {
             median_off_mbps: analysis.metrics.median_off_mbps,
             unique_cs: analysis.timeline.unique_sets(),
             cs_samples: analysis.timeline.samples.len(),
-            meas_results,
-            problem_channel_rsrp,
-            scg_meas_delays_ms,
+            meas_results: self.meas_results,
+            problem_channel_rsrp: self.problem_channel_rsrp.to_vec(),
+            scg_meas_delays_ms: self.scg_meas_delays_ms.to_vec(),
             scored_reports: predictions.scored,
             predicted_loop_prob: predictions.session_mean,
         }

@@ -7,7 +7,9 @@
 //! shared [`RadioTables`] — the radio precomputation (shadowing fields,
 //! channel cell lists, compiled path-loss constants) is built once per
 //! area instead of once per run, and every UE in the batch memoizes its
-//! sweep against the shared tables. Workers claim batches through a
+//! sweep against the shared tables. The batch streams each UE's events
+//! into that UE's analyzer and record fold as soon as they are final, so
+//! no whole trace is ever held. Workers claim batches through a
 //! shared atomic cursor and accumulate into **private** [`Aggregates`]
 //! shards — no lock is held anywhere on the hot path. Shards are folded
 //! together once at the end through commutative [`Merge`] operations and
@@ -27,7 +29,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use onoff_detect::channel::{ChannelUsage, Merge, ScellModStats};
+use onoff_detect::channel::{ChannelUsage, Merge, ScellModScan, ScellModStats};
 use onoff_detect::TraceAnalyzer;
 use onoff_nsglog::parse_str_lossy;
 use onoff_policy::{policy_for, DeviceProfile, Operator, OperatorPolicy, PhoneModel};
@@ -35,13 +37,14 @@ use onoff_radio::noise::hash_words;
 use onoff_radio::RadioTables;
 use onoff_rrc::ids::Rat;
 use onoff_rrc::perf::FxMap;
+use onoff_rrc::trace::TraceEvent;
 use onoff_sim::recorder::Recorder;
 use onoff_sim::{simulate, ChaosConfig, ChaosEngine, MovementPath, SimConfig, SimOutput, UeBatch};
 
 use crate::areas::{all_areas, Area};
 use crate::dataset::{location_predictions, CampaignStats, Dataset};
 use crate::quarantine::{ChaosOptions, QuarantineReport, QuarantinedRun};
-use crate::record::{scoring_config_for, RunRecord};
+use crate::record::{scoring_config_for, RecordFold, RunRecord};
 
 /// Worker-pool sizing for [`run_campaign`].
 #[derive(Debug, Clone)]
@@ -250,22 +253,63 @@ fn run_location_chaotic(
     (record, surviving, analysis, stats)
 }
 
-/// Per-worker run scratch: everything the fused sim→detect pipeline
+/// Per-worker run scratch: everything the streamed sim→detect pipeline
 /// recycles across batched runs so the steady state allocates nothing.
 ///
-/// One instance lives for a worker's whole drain. Analyzers are keyed by
-/// operator because the §6 scoring config differs per operator; each is
-/// [`TraceAnalyzer::reset`] between runs, which is observationally
-/// identical to a fresh core (pinned by the `reset_core_equals_fresh_core`
-/// proptest in `onoff-detect`), so the dataset stays bitwise-identical.
-/// `outs` and `rec_pool` recycle the simulator's event/truth vectors
-/// through [`UeBatch::run_into`] — see DESIGN.md §16 for the reset-safety
-/// contract.
+/// One instance lives for a worker's whole drain: one [`RunSlot`] per
+/// batch position, plus the recorder pool [`UeBatch::stream`] returns its
+/// recorders to. A recorder only holds the events of its UE's last step
+/// or so, and a slot only its analyzer's state, so a worker's footprint
+/// no longer grows with trace length (DESIGN.md §16).
 #[derive(Default)]
 struct RunScratch {
-    analyzers: FxMap<Operator, TraceAnalyzer>,
-    outs: Vec<SimOutput>,
+    slots: Vec<RunSlot>,
     rec_pool: Vec<Recorder>,
+}
+
+/// The streaming consumer for one batch position: the fused analyzer
+/// (scoring on) plus the record and SCell-modification folds, all reset
+/// per run.
+///
+/// [`TraceAnalyzer::reset`] is observationally identical to a fresh core
+/// (pinned by the `reset_core_equals_fresh_core` proptest in
+/// `onoff-detect`), so reuse cannot change the dataset.
+struct RunSlot {
+    /// Operator whose §6 scoring config the analyzer carries.
+    operator: Operator,
+    analyzer: TraceAnalyzer,
+    record: RecordFold,
+    scell: ScellModScan,
+}
+
+impl RunSlot {
+    fn new(operator: Operator, policy: &OperatorPolicy) -> RunSlot {
+        RunSlot {
+            operator,
+            analyzer: TraceAnalyzer::with_scoring(scoring_config_for(operator, policy)),
+            record: RecordFold::new(operator),
+            scell: ScellModScan::default(),
+        }
+    }
+
+    /// Readies the slot for a new run of `operator`.
+    fn start(&mut self, operator: Operator, policy: &OperatorPolicy) {
+        if self.operator != operator {
+            self.operator = operator;
+            self.analyzer
+                .enable_scoring(scoring_config_for(operator, policy));
+        }
+        self.analyzer.reset();
+        self.record.reset(operator);
+        self.scell = ScellModScan::default();
+    }
+
+    /// Folds one final event of the slot's run.
+    fn feed(&mut self, ev: &TraceEvent, scell_mod: &mut ScellModStats) {
+        self.analyzer.feed(ev);
+        self.record.feed(ev);
+        self.scell.feed(scell_mod, ev);
+    }
 }
 
 /// Aggregates accumulated by one worker (and, after merging, the whole
@@ -390,21 +434,24 @@ impl Aggregates {
             // Quarantined: the run is in the ledger, not the aggregates.
             return;
         };
-        self.fold_run(area.operator, cfg.duration_ms, record, &out, &analysis);
+        self.scell_mod
+            .entry(area.operator)
+            .or_default()
+            .add_trace(&out.events);
+        let events = out.events.len() as u64;
+        self.fold_run(area.operator, cfg.duration_ms, record, events, &analysis);
     }
 
     /// Executes one contiguous same-area batch of jobs over the area's
-    /// shared precomputed tables, then feeds each run through the same
-    /// fused analysis as [`run_location`].
+    /// shared precomputed tables, streaming each run's events through the
+    /// same fused analysis as [`run_location`].
     ///
     /// The whole pipeline runs out of the worker's [`RunScratch`]: the
-    /// batch recycles pooled recorders and writes into the pooled
-    /// `SimOutput`s (no event/truth vector is allocated in steady state),
-    /// and the per-operator analyzer — scorer included — is `reset`
-    /// between runs instead of rebuilt. `reset` is observationally
-    /// identical to a fresh core (pinned by `reset_core_equals_fresh_core`
-    /// in `onoff-detect`), so the dataset stays bitwise-identical to the
-    /// per-run pipeline at any worker count.
+    /// batch recycles pooled recorders, and each batch position's
+    /// [`RunSlot`] — analyzer and scorer included — is reset between runs
+    /// instead of rebuilt. The slots see each run's events in exactly the
+    /// order a collected trace holds them, so the dataset stays
+    /// bitwise-identical to the per-run pipeline at any worker count.
     #[allow(clippy::too_many_arguments)]
     fn absorb_batch(
         &mut self,
@@ -416,11 +463,7 @@ impl Aggregates {
         cfg: &CampaignConfig,
         scratch: &mut RunScratch,
     ) {
-        let RunScratch {
-            analyzers,
-            outs,
-            rec_pool,
-        } = scratch;
+        let RunScratch { slots, rec_pool } = scratch;
         let mut batch = UeBatch::new(policy, device, tables, cfg.duration_ms, 1000);
         for job in jobs {
             batch.push_with_recorder(
@@ -429,40 +472,41 @@ impl Aggregates {
                 rec_pool.pop().unwrap_or_default(),
             );
         }
-        batch.run_into(outs, rec_pool);
-        let core = analyzers.entry(area.operator).or_insert_with(|| {
-            TraceAnalyzer::with_scoring(scoring_config_for(area.operator, policy))
-        });
-        for (job, out) in jobs.iter().zip(outs.iter()) {
-            core.reset();
-            for ev in &out.events {
-                core.feed(ev);
-            }
-            let predictions = core.predictions().expect("scoring enabled");
-            let analysis = core.analysis();
-            let record = RunRecord::from_run(
-                area.operator,
+        while slots.len() < jobs.len() {
+            slots.push(RunSlot::new(area.operator, policy));
+        }
+        let slots = &mut slots[..jobs.len()];
+        for slot in slots.iter_mut() {
+            slot.start(area.operator, policy);
+        }
+        let scell_mod = self.scell_mod.entry(area.operator).or_default();
+        batch.stream(rec_pool, |i, ev| slots[i].feed(ev, scell_mod));
+        for (job, slot) in jobs.iter().zip(slots.iter_mut()) {
+            let predictions = slot.analyzer.predictions().expect("scoring enabled");
+            let analysis = slot.analyzer.analysis();
+            let record = slot.record.record(
                 &area.name,
                 job.location,
                 cfg.device,
                 job.seed,
-                out,
                 &analysis,
                 &predictions,
             );
-            self.fold_run(area.operator, cfg.duration_ms, record, out, &analysis);
+            let events = slot.analyzer.events_seen() as u64;
+            self.fold_run(area.operator, cfg.duration_ms, record, events, &analysis);
         }
     }
 
-    /// Folds one finished run (record + trace + analysis) into this shard —
-    /// the single accumulation point shared by the per-job, batched and
-    /// chaos pipelines.
+    /// Folds one finished run (record + event count + analysis) into this
+    /// shard — the accumulation point shared by the per-job, batched and
+    /// chaos pipelines. The SCell-modification counters are folded per
+    /// event by the caller.
     fn fold_run(
         &mut self,
         operator: Operator,
         duration_ms: u64,
         record: RunRecord,
-        out: &SimOutput,
+        events: u64,
         analysis: &onoff_detect::RunAnalysis,
     ) {
         self.quarantine.clamped_events += analysis.degradation.clamped_events;
@@ -478,11 +522,7 @@ impl Aggregates {
         } else {
             usage_lte.add_no_loop_run(&analysis.timeline, Rat::Lte);
         }
-        self.scell_mod
-            .entry(operator)
-            .or_default()
-            .add_trace(&out.events);
-        self.events_processed += out.events.len() as u64;
+        self.events_processed += events;
         self.simulated_ms += duration_ms;
         self.records.push(record);
     }
@@ -570,8 +610,8 @@ fn batch_spans(jobs: &[Job]) -> Vec<(usize, usize)> {
 ///
 /// Each worker also owns one scratch value built by `make_scratch`,
 /// threaded through every `absorb` call it makes — the hook that lets the
-/// batched pipeline reuse its recorders, output buffers, and analyzers
-/// across all units a worker drains. Scratch never crosses workers and
+/// batched pipeline reuse its recorders and per-slot analyzers across all
+/// units a worker drains. Scratch never crosses workers and
 /// never outlives the drain, so (given reset-safe reuse, see DESIGN.md
 /// §16) it cannot affect the merged result.
 fn drain_shards<U: Sync, S>(

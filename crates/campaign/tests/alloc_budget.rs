@@ -1,11 +1,12 @@
 //! Allocation-budget regression test for the fused campaign path.
 //!
 //! The campaign runner drains every batch out of a per-worker
-//! `RunScratch` (DESIGN.md §16): recorders and `SimOutput` event/truth
-//! vectors are recycled through `UeBatch::run_into`, and one
-//! per-operator `TraceAnalyzer` — warmed scorer included — is `reset`
-//! between runs instead of rebuilt. This test pins that property with a
-//! counting global allocator so an accidental per-run rebuild — or a new
+//! `RunScratch` (DESIGN.md §16): pooled recorders stream each UE's events
+//! through `UeBatch::stream` and take the spilled report rows back once
+//! the consumer has seen them, and each batch slot's `TraceAnalyzer` —
+//! warmed scorer included — and record fold are `reset` between runs
+//! instead of rebuilt. This test pins that property with a counting
+//! global allocator so an accidental per-run rebuild — or a new
 //! `clone()`/`format!` on the per-event path — fails CI instead of
 //! silently eroding the `fused-campaign` perf-snapshot numbers.
 

@@ -6,7 +6,8 @@
 //!   split into no-loop and loop(-type) populations (Table 5's "usage
 //!   breakdown", Fig. 18's per-channel bars);
 //! * [`ScellModStats`] — per-channel SCell-modification attempt/failure
-//!   counts (Table 5's "SCell modification failure ratio" column).
+//!   counts (Table 5's "SCell modification failure ratio" column), fed a
+//!   whole trace or, through [`ScellModScan`], one event at a time.
 
 use std::collections::BTreeMap;
 use std::hash::Hash;
@@ -16,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use onoff_rrc::ids::Rat;
 use onoff_rrc::messages::RrcMessage;
 use onoff_rrc::perf::FxMap;
-use onoff_rrc::trace::{MmState, TraceEvent};
+use onoff_rrc::trace::{MmState, Timestamp, TraceEvent};
 
 use crate::cellset::CsTimeline;
 use crate::classify::LoopType;
@@ -131,40 +132,12 @@ pub struct ScellModStats {
 }
 
 impl ScellModStats {
-    /// Scans a trace for SCell modifications and their outcomes: a
-    /// modification fails when the connection collapses (MM deregistered)
-    /// within a second of its completion — the S1E3 signature.
+    /// Scans a trace for SCell modifications and their outcomes — a
+    /// [`ScellModScan`] fed every event in order.
     pub fn add_trace(&mut self, events: &[TraceEvent]) {
-        let mut pending: Option<u32> = None; // channel of the added cell
-        let mut completed: Option<(onoff_rrc::trace::Timestamp, u32)> = None;
+        let mut scan = ScellModScan::default();
         for ev in events {
-            match ev {
-                TraceEvent::Rrc(rec) => match &rec.msg {
-                    RrcMessage::Reconfiguration(body) if body.is_scell_modification() => {
-                        pending = body.scell_to_add_mod.first().map(|a| a.cell.arfcn);
-                    }
-                    RrcMessage::Reconfiguration(_) => pending = None,
-                    RrcMessage::ReconfigurationComplete => {
-                        if let Some(ch) = pending.take() {
-                            let e = self.per_channel.entry(ch).or_insert((0, 0));
-                            e.0 += 1;
-                            completed = Some((rec.t, ch));
-                        }
-                    }
-                    _ => {}
-                },
-                TraceEvent::Mm {
-                    t,
-                    state: MmState::DeregisteredNoCellAvailable,
-                } => {
-                    if let Some((ct, ch)) = completed.take() {
-                        if t.since(ct) <= 1000 {
-                            self.per_channel.get_mut(&ch).expect("attempt recorded").1 += 1;
-                        }
-                    }
-                }
-                _ => {}
-            }
+            scan.feed(self, ev);
         }
     }
 
@@ -183,6 +156,50 @@ impl ScellModStats {
                 )
             })
             .collect()
+    }
+}
+
+/// One trace's SCell-modification scan, fed an event at a time: a
+/// modification fails when the connection collapses (MM deregistered)
+/// within a second of its completion — the S1E3 signature. Start each
+/// trace from `ScellModScan::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScellModScan {
+    /// Channel of the cell the pending modification adds.
+    pending: Option<u32>,
+    /// Completion time and channel of the last modification.
+    completed: Option<(Timestamp, u32)>,
+}
+
+impl ScellModScan {
+    /// Advances the scan by one event, counting into `stats`.
+    pub fn feed(&mut self, stats: &mut ScellModStats, ev: &TraceEvent) {
+        match ev {
+            TraceEvent::Rrc(rec) => match &rec.msg {
+                RrcMessage::Reconfiguration(body) if body.is_scell_modification() => {
+                    self.pending = body.scell_to_add_mod.first().map(|a| a.cell.arfcn);
+                }
+                RrcMessage::Reconfiguration(_) => self.pending = None,
+                RrcMessage::ReconfigurationComplete => {
+                    if let Some(ch) = self.pending.take() {
+                        stats.per_channel.entry(ch).or_insert((0, 0)).0 += 1;
+                        self.completed = Some((rec.t, ch));
+                    }
+                }
+                _ => {}
+            },
+            TraceEvent::Mm {
+                t,
+                state: MmState::DeregisteredNoCellAvailable,
+            } => {
+                if let Some((ct, ch)) = self.completed.take() {
+                    if t.since(ct) <= 1000 {
+                        stats.per_channel.get_mut(&ch).expect("attempt recorded").1 += 1;
+                    }
+                }
+            }
+            _ => {}
+        }
     }
 }
 

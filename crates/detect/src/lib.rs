@@ -48,7 +48,7 @@ pub mod render;
 pub mod stream;
 
 pub use cellset::{CsSample, CsTimeline, TimelineBuilder};
-pub use channel::{ChannelUsage, Merge, ScellModStats};
+pub use channel::{ChannelUsage, Merge, ScellModScan, ScellModStats};
 pub use classify::{classify_off_transition, LoopType, OffClassifier, OffTransition};
 pub use degrade::DegradationReport;
 pub use loops::{detect_loops, Cycle, LoopInstance, Persistence};

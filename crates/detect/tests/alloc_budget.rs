@@ -8,7 +8,7 @@
 //! `BENCH_PR5.json`) to stay robust across allocator and codegen noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use onoff_detect::analyze_trace;
 use onoff_rrc::ids::{CellId, Pci};
@@ -16,11 +16,21 @@ use onoff_sim::TraceBuilder;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside [`count_allocs`]. Only that thread's
+    /// allocations count, so the tests of this binary running in parallel
+    /// cannot bill theirs to each other.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = MEASURING.try_with(|on| {
+            if on.get() {
+                ALLOCS.with(|n| n.set(n.get() + 1));
+            }
+        });
         unsafe { System.alloc(layout) }
     }
 
@@ -31,6 +41,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the number of allocations the
+/// calling thread made meanwhile.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.with(|n| n.set(0));
+    MEASURING.with(|on| on.set(true));
+    let out = f();
+    MEASURING.with(|on| on.set(false));
+    (out, ALLOCS.with(Cell::get))
+}
 
 /// A loop-rich scripted workload: repeated SA SCell-modification failures
 /// (S1E3 cycles) plus measurement reports — the same event mix the
@@ -69,11 +89,11 @@ fn warm_scoring_session_allocates_nothing() {
     assert!(scorer.scored() > 0, "workload must exercise the scorer");
 
     scorer.reset_session();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for ev in &events {
-        scorer.feed(ev);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let ((), allocs) = count_allocs(|| {
+        for ev in &events {
+            scorer.feed(ev);
+        }
+    });
     assert!(scorer.scored() > 0);
     // Exactly zero, not a budget: scoring rides inside the campaign's
     // per-event hot path, and every capture path uses fixed-capacity
@@ -94,9 +114,7 @@ fn batch_analyze_allocs_per_event_within_budget() {
     let warm = analyze_trace(&events);
     assert!(warm.has_loop(), "workload must exercise the loop detector");
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let analysis = analyze_trace(&events);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let (analysis, allocs) = count_allocs(|| analyze_trace(&events));
     assert!(analysis.has_loop());
 
     let per_event = allocs as f64 / events.len() as f64;

@@ -10,18 +10,28 @@
 //! perf-snapshot numbers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use onoff_rrc::trace::TraceEvent;
 use onoff_serve::{Request, Response, ServeConfig, ServeEngine, SessionMeta, SessionTable};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside [`count_allocs`]. Only that thread's
+    /// allocations count, so the tests of this binary running in parallel
+    /// cannot bill theirs to each other.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = MEASURING.try_with(|on| {
+            if on.get() {
+                ALLOCS.with(|n| n.set(n.get() + 1));
+            }
+        });
         unsafe { System.alloc(layout) }
     }
 
@@ -32,6 +42,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the number of allocations the
+/// calling thread made meanwhile.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.with(|n| n.set(0));
+    MEASURING.with(|on| on.set(true));
+    let out = f();
+    MEASURING.with(|on| on.set(false));
+    (out, ALLOCS.with(Cell::get))
+}
 
 fn wide_open() -> ServeConfig {
     ServeConfig {
@@ -98,9 +118,7 @@ fn steady_state_table_ingest_allocs_per_event_within_budget() {
     cycle(&mut fed_ms);
     cycle(&mut fed_ms);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let events = cycle(&mut fed_ms);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let (events, allocs) = count_allocs(|| cycle(&mut fed_ms));
 
     assert!(events >= 4096, "cycle must feed a meaningful event volume");
     let per_event = allocs as f64 / events as f64;
@@ -154,9 +172,7 @@ fn steady_state_engine_text_frames_allocs_per_event_within_budget() {
     cycle(&frames[..frames_per_cycle]);
     cycle(&frames[frames_per_cycle..2 * frames_per_cycle]);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let events = cycle(&frames[2 * frames_per_cycle..]);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let (events, allocs) = count_allocs(|| cycle(&frames[2 * frames_per_cycle..]));
 
     assert!(events >= 2048, "cycle must feed a meaningful event volume");
     let per_event = allocs as f64 / events as f64;

@@ -11,12 +11,20 @@
 //! is bitwise-identical to [`crate::simulate`] on the equivalent
 //! single-run config, regardless of how runs are grouped into batches
 //! (enforced by `tests/batched_equiv.rs`).
+//!
+//! One lockstep loop serves two forms. [`UeBatch::stream`] hands each UE's
+//! events to a consumer as soon as they are final, so a caller that folds
+//! events on the fly never holds a whole trace; [`UeBatch::run`] and
+//! [`UeBatch::run_into`] collect each UE's trace into a [`SimOutput`]. Both
+//! yield the same per-UE event sequence (`tests/stream_equiv.rs`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use onoff_policy::{DeviceProfile, FivegMode, OperatorPolicy};
 use onoff_radio::{RadioTables, UeSampler};
+use onoff_rrc::messages::RrcMessage;
+use onoff_rrc::trace::TraceEvent;
 
 use crate::config::MovementPath;
 use crate::nsa::NsaCore;
@@ -94,7 +102,6 @@ impl<'a> UeBatch<'a> {
             FivegMode::Nsa => StdRng::seed_from_u64(seed ^ 0x4E5A),
         });
         rec.reset();
-        rec.reserve_for(self.duration_ms);
         self.recs.push(rec);
         self.seeds.push(seed);
         self.paths.push(path);
@@ -126,7 +133,65 @@ impl<'a> UeBatch<'a> {
     /// caller looping batches through the same `outs` + `pool` pair runs the
     /// whole sim pipeline without steady-state allocation. Output is
     /// bitwise-identical to [`UeBatch::run`].
-    pub fn run_into(self, outs: &mut Vec<SimOutput>, pool: &mut Vec<Recorder>) {
+    pub fn run_into(mut self, outs: &mut Vec<SimOutput>, pool: &mut Vec<Recorder>) {
+        // Recycle the previous generation's spilled report buffers into
+        // this batch's recorders before stepping — `outs` is about to be
+        // overwritten anyway, and stealing its heap storage round-robin
+        // means every UE starts with spares even when batch sizes shrink
+        // or the pooled recorders last served runs that never spilled.
+        if !self.recs.is_empty() {
+            let n_recs = self.recs.len();
+            let mut next = 0usize;
+            for out in outs.iter_mut() {
+                for ev in &mut out.events {
+                    if let TraceEvent::Rrc(lr) = ev {
+                        if let RrcMessage::MeasurementReport(r) = &mut lr.msg {
+                            if let Some(spare) = r.results.take_spilled() {
+                                self.recs[next % n_recs].donate_spare(spare);
+                                next += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // A collected trace is held whole, so size it for the run up front.
+        for rec in &mut self.recs {
+            rec.reserve_for(self.duration_ms);
+        }
+        let mut recs = self.step_all(|_, _, _| {});
+        outs.truncate(recs.len());
+        while outs.len() < recs.len() {
+            outs.push(SimOutput::default());
+        }
+        for (rec, out) in recs.iter_mut().zip(outs.iter_mut()) {
+            rec.finish_into(out);
+        }
+        pool.append(&mut recs);
+    }
+
+    /// Steps every UE through the full run, handing each event to
+    /// `sink(ue, event)` as soon as it is final (`ue` is the push index),
+    /// then returns the recorders to `pool`.
+    ///
+    /// After a UE's step at `t` no later step can record an event at or
+    /// below `t` (see [`Recorder`]), so those events are final and a
+    /// recorder only ever holds the events of its last step or so. Each
+    /// UE's events arrive in exactly the order [`UeBatch::run`] collects
+    /// them; ground truth is not streamed.
+    pub fn stream(self, pool: &mut Vec<Recorder>, mut sink: impl FnMut(usize, &TraceEvent)) {
+        let mut recs = self.step_all(|i, rec, t| rec.flush(t, |ev| sink(i, ev)));
+        for (i, rec) in recs.iter_mut().enumerate() {
+            rec.flush(u64::MAX, |ev| sink(i, ev));
+            rec.reset();
+        }
+        pool.append(&mut recs);
+    }
+
+    /// The lockstep loop: steps every UE through the measurement grid,
+    /// calling `after_step(ue, recorder, t)` after each UE's step at `t`,
+    /// and returns the recorders in push order.
+    fn step_all(self, mut after_step: impl FnMut(usize, &mut Recorder, u64)) -> Vec<Recorder> {
         let UeBatch {
             policy,
             device,
@@ -141,27 +206,6 @@ impl<'a> UeBatch<'a> {
             mut samplers,
             tables: _,
         } = self;
-        // Recycle the previous generation's spilled report buffers into
-        // this batch's recorders before stepping — `outs` is about to be
-        // overwritten anyway, and stealing its heap storage round-robin
-        // means every UE starts with spares even when batch sizes shrink
-        // or the pooled recorders last served runs that never spilled.
-        if !recs.is_empty() {
-            let n_recs = recs.len();
-            let mut next = 0usize;
-            for out in outs.iter_mut() {
-                for ev in &mut out.events {
-                    if let onoff_rrc::trace::TraceEvent::Rrc(lr) = ev {
-                        if let onoff_rrc::messages::RrcMessage::MeasurementReport(r) = &mut lr.msg {
-                            if let Some(spare) = r.results.take_spilled() {
-                                recs[next % n_recs].donate_spare(spare);
-                                next += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
         let mut t = 0u64;
         while t < duration_ms {
             for i in 0..cores.len() {
@@ -180,17 +224,11 @@ impl<'a> UeBatch<'a> {
                         core.step(&cx, &mut samplers[i], &mut rngs[i], &mut recs[i], t)
                     }
                 }
+                after_step(i, &mut recs[i], t);
             }
             t += meas_period_ms;
         }
-        outs.truncate(recs.len());
-        while outs.len() < recs.len() {
-            outs.push(SimOutput::default());
-        }
-        for (rec, out) in recs.iter_mut().zip(outs.iter_mut()) {
-            rec.finish_into(out);
-        }
-        pool.append(&mut recs);
+        recs
     }
 }
 

@@ -13,16 +13,28 @@ use crate::output::{GroundTruth, InjectedCause, SimOutput};
 const REPORT_SPARE_CAP: usize = 512;
 
 /// Accumulates trace events and ground truth during a run.
+///
+/// Events land in a pending window in emission order. A step at `t`
+/// records throughput samples at or below `t` and procedures at `t` plus
+/// a non-negative offset, so once the step at `t` is done no later step
+/// can record anything at or below `t`. [`crate::UeBatch::stream`]
+/// relies on that horizon invariant to flush the settled prefix of the
+/// window after every step; [`Recorder::finish`] settles the whole window
+/// at once. Both produce the order a stable sort of the whole trace by
+/// timestamp gives (`tests/stream_equiv.rs`).
 #[derive(Debug, Default)]
 pub struct Recorder {
+    /// Recorded events not yet flushed.
     events: Vec<TraceEvent>,
     truth: Vec<GroundTruth>,
     /// Recycled heap buffers for spilled measurement-report rows,
-    /// harvested from the previous run's events in
-    /// [`Recorder::finish_into`] and consumed by
+    /// harvested from flushed or replaced events and consumed by
     /// [`Recorder::meas_report`]. Contents of reports built from spares
     /// are bitwise-identical to freshly allocated ones.
     report_spares: Vec<Vec<MeasResult>>,
+    /// Horizon of the last `flush`: everything at or below it has been
+    /// handed out, so nothing may be recorded there any more.
+    flushed_to: Option<u64>,
 }
 
 impl Recorder {
@@ -31,9 +43,20 @@ impl Recorder {
         Recorder::default()
     }
 
+    /// Debug builds reject an event at or below the last flushed
+    /// horizon: it would sort before events already handed out.
+    fn check_horizon(&self, t_ms: u64) {
+        debug_assert!(
+            self.flushed_to.is_none_or(|h| t_ms > h),
+            "event at {t_ms} ms recorded at or below the flushed horizon {:?}",
+            self.flushed_to
+        );
+    }
+
     /// Records an RRC message at `t_ms` under the given control-plane RAT
     /// and serving context.
     pub fn rrc(&mut self, t_ms: u64, rat: Rat, context: Option<CellId>, msg: RrcMessage) {
+        self.check_horizon(t_ms);
         let channel = LogChannel::for_message(&msg);
         self.events.push(TraceEvent::Rrc(LogRecord {
             t: Timestamp(t_ms),
@@ -76,6 +99,7 @@ impl Recorder {
 
     /// Records the MM collapse line NSG shows during an SA exception.
     pub fn mm_deregistered(&mut self, t_ms: u64) {
+        self.check_horizon(t_ms);
         self.events.push(TraceEvent::Mm {
             t: Timestamp(t_ms),
             state: MmState::DeregisteredNoCellAvailable,
@@ -84,6 +108,7 @@ impl Recorder {
 
     /// Records a throughput sample.
     pub fn throughput(&mut self, t_ms: u64, mbps: f64) {
+        self.check_horizon(t_ms);
         self.events.push(TraceEvent::Throughput {
             t: Timestamp(t_ms),
             mbps,
@@ -111,15 +136,35 @@ impl Recorder {
         }
     }
 
-    /// Clears the recorder for reuse, keeping both buffers' capacity — the
+    /// Clears the recorder for reuse, keeping its buffers' capacity — the
     /// pooled half of the `reset`/`finish_into` lifecycle.
     pub fn reset(&mut self) {
         self.events.clear();
         self.truth.clear();
+        self.flushed_to = None;
     }
 
-    /// Finishes the run; events are sorted by time (procedures emitted with
-    /// intra-step offsets can interleave with throughput samples).
+    /// Hands every pending event at or below `horizon` to `sink`, in final
+    /// order, then recycles their spilled report rows for later
+    /// [`Recorder::meas_report`] calls.
+    ///
+    /// Call it after the step at `horizon` (or with `u64::MAX` after the
+    /// last step): by the horizon invariant no later step can record an
+    /// event that sorts before the ones handed out, so the concatenated
+    /// flushes equal [`Recorder::finish`]'s events exactly. Debug builds
+    /// check that nothing is recorded at or below `horizon` afterwards.
+    pub(crate) fn flush(&mut self, horizon: u64, mut sink: impl FnMut(&TraceEvent)) {
+        sort_events_by_time(&mut self.events);
+        let n = self.events.partition_point(|e| e.t().millis() <= horizon);
+        for ev in &self.events[..n] {
+            sink(ev);
+        }
+        harvest_spares(&mut self.report_spares, &mut self.events[..n]);
+        self.events.drain(..n);
+        self.flushed_to = Some(horizon);
+    }
+
+    /// Finishes the run: every pending event, in final order.
     pub fn finish(mut self) -> SimOutput {
         sort_events_by_time(&mut self.events);
         SimOutput {
@@ -134,23 +179,9 @@ impl Recorder {
     /// The resulting `out` is bitwise-identical to [`Recorder::finish`].
     pub fn finish_into(&mut self, out: &mut SimOutput) {
         sort_events_by_time(&mut self.events);
-        // Harvest the heap buffers of the outgoing generation's spilled
-        // measurement reports before dropping them: the next run's
-        // [`Recorder::meas_report`] calls reuse them instead of
-        // allocating. The events being replaced were already analyzed —
-        // only their storage is recycled.
-        for ev in &mut out.events {
-            if self.report_spares.len() >= REPORT_SPARE_CAP {
-                break;
-            }
-            if let TraceEvent::Rrc(rec) = ev {
-                if let RrcMessage::MeasurementReport(r) = &mut rec.msg {
-                    if let Some(spare) = r.results.take_spilled() {
-                        self.report_spares.push(spare);
-                    }
-                }
-            }
-        }
+        // The events being replaced were already analyzed — only the heap
+        // buffers behind their spilled reports are kept, for the next run.
+        harvest_spares(&mut self.report_spares, &mut out.events);
         out.events.clear();
         out.truth.clear();
         std::mem::swap(&mut self.events, &mut out.events);
@@ -158,7 +189,24 @@ impl Recorder {
     }
 }
 
-/// Count of `finish` calls that took the already-sorted fast path, kept in
+/// Takes the heap buffers behind `events`' spilled measurement reports
+/// into `spares`, up to [`REPORT_SPARE_CAP`].
+fn harvest_spares(spares: &mut Vec<Vec<MeasResult>>, events: &mut [TraceEvent]) {
+    for ev in events {
+        if spares.len() >= REPORT_SPARE_CAP {
+            break;
+        }
+        if let TraceEvent::Rrc(rec) = ev {
+            if let RrcMessage::MeasurementReport(r) = &mut rec.msg {
+                if let Some(spare) = r.results.take_spilled() {
+                    spares.push(spare);
+                }
+            }
+        }
+    }
+}
+
+/// Count of window sorts that took the already-sorted fast path, kept in
 /// debug builds only so tests can assert the common no-interleaving case
 /// really skips the sort.
 #[cfg(debug_assertions)]
@@ -298,6 +346,72 @@ mod tests {
         pooled.reset();
         let empty = pooled.finish();
         assert!(empty.events.is_empty() && empty.truth.is_empty());
+    }
+
+    /// Flushing after every "step" hands out exactly `finish`'s order,
+    /// ties included, and leaves nothing behind.
+    #[test]
+    fn per_step_flushes_concatenate_to_finish() {
+        let record = |r: &mut Recorder, t: u64| {
+            r.throughput(t, t as f64);
+            r.rrc(t + 400, Rat::Nr, None, RrcMessage::Release);
+            r.mm_deregistered(t + 400);
+            r.rrc(t + 5, Rat::Nr, None, RrcMessage::ReconfigurationComplete);
+        };
+        for period in [100, 250, 1000] {
+            let mut whole = Recorder::new();
+            let mut streamed = Recorder::new();
+            let mut flushed = Vec::new();
+            let mut t = 0;
+            while t < 3000 {
+                record(&mut whole, t);
+                record(&mut streamed, t);
+                streamed.flush(t, |ev| flushed.push(ev.clone()));
+                assert!(flushed.iter().all(|e| e.t().millis() <= t));
+                t += period;
+            }
+            streamed.flush(u64::MAX, |ev| flushed.push(ev.clone()));
+            assert_eq!(flushed, whole.finish().events, "period {period}");
+        }
+    }
+
+    /// Flushed spilled reports return their heap rows to the recorder,
+    /// and reports rebuilt from them are identical.
+    #[test]
+    fn flush_recycles_spilled_report_rows() {
+        use onoff_rrc::ids::Pci;
+        use onoff_rrc::meas::{Measurement, Rsrp, Rsrq};
+        let rows: Vec<MeasResult> = (0..20u16)
+            .map(|i| MeasResult {
+                cell: CellId::nr(Pci(i), 521310),
+                meas: Measurement {
+                    rsrp: Rsrp::from_db(-90.0),
+                    rsrq: Rsrq::from_db(-11.0),
+                },
+            })
+            .collect();
+        let mut r = Recorder::new();
+        r.meas_report(0, Rat::Nr, None, None, &rows);
+        let mut first = Vec::new();
+        r.flush(0, |ev| first.push(ev.clone()));
+        assert_eq!(r.report_spares.len(), 1);
+        r.meas_report(1000, Rat::Nr, None, None, &rows);
+        assert!(r.report_spares.is_empty(), "the spare was reused");
+        let mut second = Vec::new();
+        r.flush(1000, |ev| second.push(ev.clone()));
+        assert_eq!(first[0].with_t(Timestamp(1000)), second[0]);
+    }
+
+    /// Debug builds reject an event recorded at or below the flushed
+    /// horizon: handing it out would break the stable order.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "flushed horizon")]
+    fn recording_below_the_horizon_is_caught() {
+        let mut r = Recorder::new();
+        r.throughput(1000, 1.0);
+        r.flush(1000, |_| {});
+        r.throughput(1000, 2.0);
     }
 
     #[test]
