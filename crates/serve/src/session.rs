@@ -2,19 +2,22 @@
 //! snapshots.
 //!
 //! The table shards sessions by id across independently-locked shards.
-//! Every session is **event-sourced**: alongside its live
-//! [`StreamingAnalyzer`] it keeps the arrival-order event log, so spilling
-//! a session is "write the log as a [`snapshot`](crate::snapshot)" and
-//! restoring is "replay the log through a fresh analyzer" — bitwise
-//! equivalent to never having been evicted, because analyzer state is a
-//! deterministic function of the fed sequence.
+//! When the table has a snapshot directory, every session is
+//! **event-sourced**: alongside its live [`StreamingAnalyzer`] it keeps
+//! the arrival-order event log, so spilling a session is "write the log
+//! as a [`snapshot`](crate::snapshot)" and restoring is "replay the log
+//! through a fresh analyzer" — bitwise equivalent to never having been
+//! evicted, because analyzer state is a deterministic function of the fed
+//! sequence. Without a snapshot directory nothing can ever spill, so
+//! sessions keep no log: the analyzer alone holds their state, plus a
+//! count of the events fed.
 //!
 //! # Memory contract
 //!
 //! Accounted bytes per session = fixed overhead + the analyzer's
 //! capacity-derived [`mem_hint`](StreamingAnalyzer::mem_hint) + the event
-//! log's capacity. The global ledger is an atomic sum over all live
-//! sessions. Ingest enforces, in order:
+//! log's capacity, when the session keeps one. The global ledger is an
+//! atomic sum over all live sessions. Ingest enforces, in order:
 //!
 //! 1. **Global budget** — a projected overrun first evicts
 //!    least-recently-used sessions (other than the target) to snapshots;
@@ -40,7 +43,8 @@
 //! A snapshot that fails verification on restore **quarantines** the
 //! session: the sid becomes a tombstone answering every request with an
 //! error, the corrupt file is left on disk for postmortem, and the
-//! session's last-known degradation is folded into the retired totals.
+//! session's last-known degradation, parse counters and event count are
+//! folded into the retired totals.
 //! Corruption is never silently replayed.
 
 use std::collections::{BTreeMap, HashMap};
@@ -123,7 +127,11 @@ impl std::fmt::Display for SessionError {
 
 struct Session {
     analyzer: StreamingAnalyzer,
-    log: Vec<TraceEvent>,
+    /// The arrival-order event log a snapshot stores; kept only when the
+    /// table has a snapshot directory to spill it to.
+    log: Option<Vec<TraceEvent>>,
+    /// Events ingested over the session's lifetime.
+    events: usize,
     meta: SessionMeta,
     mem: usize,
     stamp: u64,
@@ -131,9 +139,8 @@ struct Session {
 
 impl Session {
     fn mem_now(&self) -> usize {
-        SESSION_OVERHEAD
-            + self.analyzer.mem_hint()
-            + self.log.capacity() * std::mem::size_of::<TraceEvent>()
+        let log = self.log.as_ref().map_or(0, Vec::capacity);
+        SESSION_OVERHEAD + self.analyzer.mem_hint() + log * std::mem::size_of::<TraceEvent>()
     }
 }
 
@@ -154,6 +161,7 @@ enum EvictOutcome {
 struct SpillRecord {
     path: PathBuf,
     degradation: DegradationReport,
+    meta: SessionMeta,
     events: usize,
 }
 
@@ -197,7 +205,7 @@ pub struct TableStats {
     pub restores: u64,
     /// Aggregate analyzer degradation (live + spilled + retired).
     pub degradation: DegradationReport,
-    /// Aggregate text-parse counters (live + retired).
+    /// Aggregate text-parse counters (live + spilled + retired).
     pub parse: SessionMeta,
 }
 
@@ -269,7 +277,8 @@ impl SessionTable {
         }
         let mut s = Session {
             analyzer,
-            log: Vec::new(),
+            log: self.cfg.snapshot_dir.as_ref().map(|_| Vec::new()),
+            events: 0,
             meta: SessionMeta::default(),
             mem: 0,
             stamp,
@@ -315,6 +324,7 @@ impl SessionTable {
                 SpillRecord {
                     path: entry.path(),
                     degradation: DegradationReport::default(),
+                    meta: SessionMeta::default(),
                     events: 0,
                 },
             );
@@ -339,18 +349,22 @@ impl SessionTable {
         };
         let mut session = shard.live.remove(&victim).expect("lru tracks live");
         shard.lru.remove(&session.stamp);
-        match write_snapshot(dir, victim, &session.meta, &session.log) {
+        let log = session
+            .log
+            .as_deref()
+            .expect("sessions of a table with a snapshot dir keep a log");
+        match write_snapshot(dir, victim, &session.meta, log) {
             Ok(path) => {
                 self.used.fetch_sub(session.mem, Ordering::Relaxed);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                let events = session.log.len();
                 let degradation = session.analyzer.degradation();
                 shard.spilled.insert(
                     victim,
                     SpillRecord {
                         path,
                         degradation,
-                        events,
+                        meta: session.meta,
+                        events: session.events,
                     },
                 );
                 EvictOutcome::Evicted
@@ -412,10 +426,11 @@ impl SessionTable {
                 let stamp = self.stamp();
                 let mut session = self.new_session(stamp);
                 session.meta = snap.meta;
-                session.log = snap.events;
-                for ev in &session.log {
+                session.events = snap.events.len();
+                for ev in &snap.events {
                     session.analyzer.feed(ev.clone());
                 }
+                session.log = Some(snap.events);
                 session.mem = session.mem_now();
                 self.used.fetch_add(session.mem, Ordering::Relaxed);
                 self.restores.fetch_add(1, Ordering::Relaxed);
@@ -433,6 +448,7 @@ impl SessionTable {
                 // totals so fleet metrics do not lose its history.
                 let mut retired = self.retired.lock().expect("retired lock");
                 retired.degradation.merge(record.degradation);
+                retired.meta.merge(record.meta);
                 retired.events += record.events as u64;
                 drop(retired);
                 shard.quarantined.insert(sid, reason.clone());
@@ -547,12 +563,12 @@ impl SessionTable {
                     ),
                 });
             }
-            session.meta.records += meta_delta.records;
-            session.meta.parsed += meta_delta.parsed;
-            session.meta.skipped += meta_delta.skipped;
-            session.log.reserve(events.len());
+            session.meta.merge(meta_delta);
+            session.events += events.len();
+            if let Some(log) = &mut session.log {
+                log.extend_from_slice(events);
+            }
             for ev in events.drain(..) {
-                session.log.push(ev.clone());
                 session.analyzer.feed(ev);
             }
             Ok(())
@@ -576,7 +592,7 @@ impl SessionTable {
                 session.analyzer.analysis(),
                 session.analyzer.predictions(),
                 session.meta,
-                session.log.len(),
+                session.events,
             ))
         })?;
         // A restore may have pushed the ledger past the global budget;
@@ -602,16 +618,14 @@ impl SessionTable {
         shard.lru.remove(&session.stamp);
         drop(guard);
         self.used.fetch_sub(session.mem, Ordering::Relaxed);
-        let events = session.log.len();
+        let events = session.events;
         let meta = session.meta;
         let mut analyzer = session.analyzer;
         let predictions = analyzer.predictions();
         let analysis = analyzer.finish();
         let mut retired = self.retired.lock().expect("retired lock");
         retired.degradation.merge(analysis.degradation);
-        retired.meta.records += meta.records;
-        retired.meta.parsed += meta.parsed;
-        retired.meta.skipped += meta.skipped;
+        retired.meta.merge(meta);
         retired.events += events as u64;
         retired.sessions_ended += 1;
         drop(retired);
@@ -698,19 +712,16 @@ impl SessionTable {
             out.quarantined += shard.quarantined.len();
             for session in shard.live.values_mut() {
                 out.degradation.merge(session.analyzer.degradation());
-                out.parse.records += session.meta.records;
-                out.parse.parsed += session.meta.parsed;
-                out.parse.skipped += session.meta.skipped;
+                out.parse.merge(session.meta);
             }
             for record in shard.spilled.values() {
                 out.degradation.merge(record.degradation);
+                out.parse.merge(record.meta);
             }
         }
         let retired = self.retired.lock().expect("retired lock");
         out.degradation.merge(retired.degradation);
-        out.parse.records += retired.meta.records;
-        out.parse.parsed += retired.meta.parsed;
-        out.parse.skipped += retired.meta.skipped;
+        out.parse.merge(retired.meta);
         out.ended = retired.sessions_ended;
         out
     }
@@ -1027,5 +1038,41 @@ mod tests {
         assert_eq!(stats.parse.skipped, 2);
         assert_eq!(stats.degradation, a2.degradation);
         assert_eq!(stats.events, 14);
+    }
+
+    #[test]
+    fn parse_totals_survive_spill_and_quarantine() {
+        let dir = tmp_dir("parse");
+        let cfg = ServeConfig {
+            snapshot_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let table = SessionTable::new(cfg);
+        let dirty_meta = SessionMeta {
+            records: 10,
+            parsed: 8,
+            skipped: 2,
+        };
+        table.ingest(6, burst(0, 8), dirty_meta).unwrap();
+        assert_eq!(table.stats().parse, dirty_meta);
+        assert!(table.evict(6));
+        assert_eq!(
+            table.stats().parse,
+            dirty_meta,
+            "a spilled session's skipped records stay in the fleet totals"
+        );
+        let path = snapshot_path(&dir, 6);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = table.query(6).unwrap_err();
+        assert!(matches!(err, SessionError::Quarantined { .. }), "{err:?}");
+        assert_eq!(
+            table.stats().parse,
+            dirty_meta,
+            "quarantine folds the parse counters into the retired totals"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,15 @@
 //! Checksummed session snapshots — the eviction spill format.
 //!
-//! A session is **event-sourced**: its analyzer state is a deterministic
-//! function of the event sequence fed so far, so the snapshot stores the
-//! arrival-order event log (as an embedded `onoff-store` blob) plus the
-//! parse counters that live outside the log, and restore replays the log
-//! through a fresh analyzer. Restored state is bitwise-equivalent to
-//! never having been evicted *by construction* — there is no hand-written
-//! state serialization to drift from the analyzer internals.
+//! A session's analyzer state is a deterministic function of the event
+//! sequence fed so far. A table with a snapshot directory therefore keeps
+//! each session **event-sourced** — it logs every event it feeds — and the
+//! snapshot stores that arrival-order log (as an embedded `onoff-store`
+//! blob) plus the parse counters that live outside the log; restore
+//! replays the log through a fresh analyzer. Restored state is
+//! bitwise-equivalent to never having been evicted *by construction* —
+//! there is no hand-written state serialization to drift from the
+//! analyzer internals. A table without a snapshot directory never spills,
+//! so its sessions keep no log.
 //!
 //! # Format (version [`SNAPSHOT_VERSION`])
 //!
@@ -32,6 +35,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use onoff_detect::channel::Merge;
 use onoff_nsglog::RecoveryPolicy;
 use onoff_rrc::trace::TraceEvent;
 use onoff_store::{checksum, encode_events, StoreReader};
@@ -53,6 +57,14 @@ pub struct SessionMeta {
     pub parsed: usize,
     /// Text records dropped as malformed.
     pub skipped: usize,
+}
+
+impl Merge for SessionMeta {
+    fn merge(&mut self, other: SessionMeta) {
+        self.records += other.records;
+        self.parsed += other.parsed;
+        self.skipped += other.skipped;
+    }
 }
 
 /// A decoded snapshot.

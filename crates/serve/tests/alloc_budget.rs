@@ -122,10 +122,11 @@ fn steady_state_table_ingest_allocs_per_event_within_budget() {
 
     assert!(events >= 4096, "cycle must feed a meaningful event volume");
     let per_event = allocs as f64 / events as f64;
-    // Throughput events carry no heap payload, so steady state is only
-    // amortized regrowth of per-session logs and analyzer buffers. The
-    // 0.5 budget keeps any per-event allocation a loud failure while
-    // tolerating the doubling regrows of ever-growing session logs.
+    // Throughput events carry no heap payload, and `wide_open` has no
+    // snapshot directory, so its sessions keep no event log: steady state
+    // is only amortized regrowth of analyzer buffers. The 0.5 budget
+    // keeps any per-event allocation a loud failure while tolerating
+    // those doubling regrows.
     assert!(
         per_event <= 0.5,
         "steady-state table ingest allocated {allocs} times over {events} events \
