@@ -1,14 +1,18 @@
 //! Chaos-mode campaign options and the quarantine ledger.
 //!
-//! A chaos campaign replays every run through the dirty-capture pipeline:
+//! A chaos campaign replays every run through the dirty-capture stage:
 //! simulator output is rendered to NSG text, corrupted by a seeded
 //! [`ChaosConfig`](onoff_sim::ChaosConfig), re-parsed under a lossy
 //! [`RecoveryPolicy`](onoff_nsglog::RecoveryPolicy), and analyzed. A run
 //! whose loss stays within bounds contributes to the dataset like any
-//! other; a run that fails (excessive loss, or a panic anywhere in the
-//! pipeline) is **retried with backoff and a fresh chaos seed**, and if it
-//! keeps failing it is **quarantined** — recorded in the dataset's
-//! [`QuarantineReport`] instead of aborting the whole campaign.
+//! other; a run that fails (excessive loss, or a panic in the stages that
+//! see dirty input: corrupt, parse, analyze) is **retried with backoff and
+//! a fresh chaos seed** over the same rendered text, and if it keeps
+//! failing it is **quarantined** — recorded in the dataset's
+//! [`QuarantineReport`] instead of aborting the whole campaign. The
+//! simulator sees no dirty input and is deterministic in the run's seed,
+//! so a retry could never get past a panic there: it aborts the campaign,
+//! as it does in clean mode.
 
 use serde::{Deserialize, Serialize};
 
@@ -27,8 +31,8 @@ pub struct ChaosOptions {
     /// Attempts per run before quarantining (each with a fresh chaos
     /// seed), minimum 1.
     pub max_attempts: u32,
-    /// Base of the exponential retry backoff, ms (attempt `n` sleeps
-    /// `base << (n - 1)`; 0 disables sleeping).
+    /// Base of the exponential retry backoff, ms (attempt `n ≥ 2` first
+    /// sleeps `base << (n - 2)`; 0 disables sleeping).
     pub backoff_base_ms: u64,
     /// A run whose parse loss ratio exceeds this after every attempt is
     /// quarantined rather than aggregated.

@@ -1,37 +1,44 @@
 //! Run orchestration: a flat job list over locations × repeated runs ×
 //! areas, drained by a bounded work-stealing worker pool.
 //!
-//! Every (area, location, run) job is enumerated up front with its seed.
-//! On the clean path, contiguous same-area jobs are grouped into batches
-//! and each worker steps a whole [`UeBatch`] of UEs through that area's
-//! shared [`RadioTables`] — the radio precomputation (shadowing fields,
-//! channel cell lists, compiled path-loss constants) is built once per
-//! area instead of once per run, and every UE in the batch memoizes its
-//! sweep against the shared tables. The batch streams each UE's events
-//! into that UE's analyzer and record fold as soon as they are final, so
-//! no whole trace is ever held. Workers claim batches through a
-//! shared atomic cursor and accumulate into **private** [`Aggregates`]
-//! shards — no lock is held anywhere on the hot path. Shards are folded
-//! together once at the end through commutative [`Merge`] operations and
-//! a final deterministic record sort; because every UE in a batch is
-//! fully independent (exact memoization, not approximation), the
-//! resulting [`Dataset`] is bitwise-identical for any worker count *and*
-//! any batch grouping.
+//! Every (area, location, run) job is enumerated up front with its seed,
+//! and every run — clean, chaos, or a lone [`run_location`] — goes through
+//! one pipeline. Contiguous same-area jobs are grouped into batches and
+//! each worker steps a whole [`UeBatch`] of UEs through that area's shared
+//! [`RadioTables`] — the radio precomputation (shadowing fields, channel
+//! cell lists, compiled path-loss constants) is built once per area
+//! instead of once per run, and every UE in the batch memoizes its sweep
+//! against the shared tables. The batch streams each UE's events into that
+//! UE's [`RunSlot`] (analyzer, record fold and SCell scan) as soon as they
+//! are final, so no whole trace is ever held. Workers claim batches
+//! through a shared atomic cursor and accumulate into **private**
+//! [`Aggregates`] shards — no lock is held anywhere on the hot path.
+//! Shards are folded together once at the end through commutative
+//! [`Merge`] operations and a final deterministic record sort; because
+//! every UE in a batch is fully independent (exact memoization, not
+//! approximation), the resulting [`Dataset`] is bitwise-identical for any
+//! worker count *and* any batch grouping.
 //!
-//! With [`CampaignConfig::chaos`] set, every run instead goes through the
-//! dirty-capture pipeline (render → corrupt → lossy re-parse → analyze),
-//! failed runs are retried with backoff, and persistently failing runs are
-//! quarantined into the dataset's [`QuarantineReport`] instead of aborting
-//! the campaign — a worker never lets one poisoned run take down the
-//! other several hundred.
+//! With [`CampaignConfig::chaos`] set, chaos is a stage after the stream:
+//! the batch renders each run's events to NSG text, then each attempt
+//! corrupts that text with a fresh seeded chaos engine, re-parses it
+//! lossily and feeds the survivors to the run's slot. A run whose loss
+//! stays out of bounds is retried with backoff and quarantined into the
+//! dataset's [`QuarantineReport`] once every attempt has failed, instead
+//! of aborting the campaign. Retries reuse the rendered text, so a chaos
+//! run is simulated exactly once. A panic in the stages that see dirty
+//! input (corrupt → parse → analyze) fails only its attempt; the simulator
+//! sees no dirty input and is deterministic in the job seed, so a retry
+//! could never get past a panic there, and it aborts the campaign as it
+//! does in clean mode.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use onoff_detect::channel::{ChannelUsage, Merge, ScellModScan, ScellModStats};
-use onoff_detect::TraceAnalyzer;
-use onoff_nsglog::parse_str_lossy;
+use onoff_detect::{RunAnalysis, TraceAnalyzer};
+use onoff_nsglog::{emit_event, parse_str_lossy_into, ParseStats};
 use onoff_policy::{policy_for, DeviceProfile, Operator, OperatorPolicy, PhoneModel};
 use onoff_radio::noise::hash_words;
 use onoff_radio::RadioTables;
@@ -39,7 +46,7 @@ use onoff_rrc::ids::Rat;
 use onoff_rrc::perf::FxMap;
 use onoff_rrc::trace::TraceEvent;
 use onoff_sim::recorder::Recorder;
-use onoff_sim::{simulate, ChaosConfig, ChaosEngine, MovementPath, SimConfig, SimOutput, UeBatch};
+use onoff_sim::{ChaosConfig, ChaosEngine, MovementPath, SimOutput, UeBatch};
 
 use crate::areas::{all_areas, Area};
 use crate::dataset::{location_predictions, CampaignStats, Dataset};
@@ -90,9 +97,11 @@ pub struct CampaignConfig {
     pub duration_ms: u64,
     /// Worker-pool sizing. Affects wall-clock only, never the dataset.
     pub parallelism: ParallelismConfig,
-    /// Chaos mode: corrupt every run's rendered log, re-parse lossily,
-    /// retry failures and quarantine runs that keep failing. `None` (the
-    /// default) keeps the fused clean pipeline.
+    /// Chaos mode: a stage after each run's simulation renders its events
+    /// to NSG text, corrupts the text, re-parses it lossily, retries
+    /// attempts whose loss is out of bounds and quarantines runs that keep
+    /// failing. `None` (the default) feeds simulator events straight into
+    /// the analysis.
     pub chaos: Option<ChaosOptions>,
 }
 
@@ -110,6 +119,9 @@ impl Default for CampaignConfig {
     }
 }
 
+/// The measurement cadence of every campaign run, ms.
+const MEAS_PERIOD_MS: u64 = 1000;
+
 /// Runs one stationary experiment and condenses it to a record.
 pub fn run_location(
     area: &Area,
@@ -117,7 +129,7 @@ pub fn run_location(
     device: PhoneModel,
     seed: u64,
     duration_ms: u64,
-) -> (RunRecord, onoff_sim::SimOutput, onoff_detect::RunAnalysis) {
+) -> (RunRecord, SimOutput, RunAnalysis) {
     run_location_with_policy(
         area,
         location,
@@ -130,146 +142,52 @@ pub fn run_location(
 
 /// [`run_location`] with an explicit (possibly modified) policy — the
 /// hook for mitigation/what-if experiments.
+///
+/// A batch of one through the campaign pipeline: the run is simulated
+/// over the area's tables, its trace is collected for the caller, and the
+/// same [`RunSlot`] a campaign worker uses analyzes it and builds the
+/// record. Agreement with the emit → parse text round-trip is enforced by
+/// `tests/fused_roundtrip.rs`.
 pub fn run_location_with_policy(
     area: &Area,
     location: usize,
     device: PhoneModel,
     seed: u64,
     duration_ms: u64,
-    policy: onoff_policy::OperatorPolicy,
-) -> (RunRecord, onoff_sim::SimOutput, onoff_detect::RunAnalysis) {
-    let scoring = scoring_config_for(area.operator, &policy);
-    let out = simulate(&sim_config(
-        area,
-        location,
-        device,
-        seed,
-        duration_ms,
-        policy,
-    ));
-    // Fused hot path: simulator output goes straight into the incremental
-    // analysis core — no emit→parse text round-trip, no event re-buffering.
-    // Sim events are time-ordered, so the bare core applies; agreement with
-    // the text round-trip is enforced by `tests/fused_roundtrip.rs`. The
-    // same pass drives the online §6 scorer, so predictions ride along at
-    // zero extra trace traversals.
-    let mut core = TraceAnalyzer::with_scoring(scoring);
+    policy: OperatorPolicy,
+) -> (RunRecord, SimOutput, RunAnalysis) {
+    let tables = RadioTables::new(&area.env);
+    let profile = device.profile();
+    let mut batch = UeBatch::new(&policy, &profile, &tables, duration_ms, MEAS_PERIOD_MS);
+    batch.push(MovementPath::Stationary(area.locations[location]), seed);
+    let out = batch.run().pop().expect("a batch of one yields one run");
+    let mut slot = RunSlot::new(area.operator, &policy);
     for ev in &out.events {
-        core.feed(ev);
+        slot.feed(ev);
     }
-    let predictions = core.predictions().expect("scoring enabled");
-    let analysis = core.finish();
-    let record = RunRecord::from_run(
-        area.operator,
-        &area.name,
-        location,
-        device,
-        seed,
-        &out,
-        &analysis,
-        &predictions,
-    );
+    let (record, analysis) = slot.finish(&area.name, location, device, seed);
     (record, out, analysis)
-}
-
-/// The stationary-run simulator config every pipeline variant shares.
-fn sim_config(
-    area: &Area,
-    location: usize,
-    device: PhoneModel,
-    seed: u64,
-    duration_ms: u64,
-    policy: onoff_policy::OperatorPolicy,
-) -> SimConfig {
-    let mut cfg = SimConfig::stationary(
-        policy,
-        device,
-        area.env.clone(),
-        area.locations[location],
-        seed,
-    );
-    cfg.duration_ms = duration_ms;
-    cfg.meas_period_ms = 1000;
-    cfg
-}
-
-/// One stationary run through the dirty-capture pipeline: simulate, render
-/// the trace to NSG text, corrupt it with the seeded chaos engine,
-/// re-parse under the lossy policy, and analyze what survived. The record
-/// is built over the *surviving* events, so its counters reflect what an
-/// analyst reading the dirty capture would actually see.
-#[allow(clippy::too_many_arguments)]
-fn run_location_chaotic(
-    area: &Area,
-    location: usize,
-    device: PhoneModel,
-    seed: u64,
-    duration_ms: u64,
-    chaos: &ChaosConfig,
-    policy: onoff_nsglog::RecoveryPolicy,
-    chaos_seed: u64,
-) -> (
-    RunRecord,
-    SimOutput,
-    onoff_detect::RunAnalysis,
-    onoff_nsglog::ParseStats,
-) {
-    let operator_policy = policy_for(area.operator);
-    let scoring = scoring_config_for(area.operator, &operator_policy);
-    let out = simulate(&sim_config(
-        area,
-        location,
-        device,
-        seed,
-        duration_ms,
-        operator_policy,
-    ));
-    let mut engine = ChaosEngine::new(chaos.clone(), chaos_seed);
-    let dirty = engine.corrupt_text(&out.to_log());
-    let (events, stats) = parse_str_lossy(&dirty, policy);
-    // Score the *surviving* events: predictions, like every other counter
-    // in the record, reflect what an analyst reading the dirty capture
-    // would see.
-    let mut core = TraceAnalyzer::with_scoring(scoring);
-    for ev in &events {
-        core.feed(ev);
-    }
-    let predictions = core.predictions().expect("scoring enabled");
-    let analysis = core.finish();
-    let surviving = SimOutput {
-        events,
-        truth: out.truth,
-    };
-    let record = RunRecord::from_run(
-        area.operator,
-        &area.name,
-        location,
-        device,
-        seed,
-        &surviving,
-        &analysis,
-        &predictions,
-    );
-    (record, surviving, analysis, stats)
 }
 
 /// Per-worker run scratch: everything the streamed sim→detect pipeline
 /// recycles across batched runs so the steady state allocates nothing.
 ///
 /// One instance lives for a worker's whole drain: one [`RunSlot`] per
-/// batch position, plus the recorder pool [`UeBatch::stream`] returns its
-/// recorders to. A recorder only holds the events of its UE's last step
-/// or so, and a slot only its analyzer's state, so a worker's footprint
-/// no longer grows with trace length (DESIGN.md §16).
+/// batch position, the recorder pool [`UeBatch::stream`] returns its
+/// recorders to, and the chaos stage's parse buffer. A recorder only holds
+/// the events of its UE's last step or so, and a slot only its analyzer's
+/// state, so a clean worker's footprint no longer grows with trace length
+/// (DESIGN.md §16). In chaos mode a slot also keeps its run's rendered
+/// text until the run's attempts finish.
 #[derive(Default)]
 struct RunScratch {
     slots: Vec<RunSlot>,
     rec_pool: Vec<Recorder>,
+    parsed: Vec<TraceEvent>,
 }
 
-/// The streaming consumer for one batch position: the fused analyzer
-/// (scoring on) plus the record and SCell-modification folds, all reset
-/// per run.
+/// The consumer for one batch position: the fused analyzer (scoring on)
+/// plus the record and SCell-modification folds, all reset per run.
 ///
 /// [`TraceAnalyzer::reset`] is observationally identical to a fresh core
 /// (pinned by the `reset_core_equals_fresh_core` proptest in
@@ -280,6 +198,12 @@ struct RunSlot {
     analyzer: TraceAnalyzer,
     record: RecordFold,
     scell: ScellModScan,
+    /// The run's SCell-modification counts, merged into the shard only
+    /// when the run is accepted.
+    scell_mod: ScellModStats,
+    /// Chaos mode: the run's rendered clean capture, kept until its
+    /// attempts finish.
+    text: String,
 }
 
 impl RunSlot {
@@ -289,10 +213,12 @@ impl RunSlot {
             analyzer: TraceAnalyzer::with_scoring(scoring_config_for(operator, policy)),
             record: RecordFold::new(operator),
             scell: ScellModScan::default(),
+            scell_mod: ScellModStats::default(),
+            text: String::new(),
         }
     }
 
-    /// Readies the slot for a new run of `operator`.
+    /// Readies the slot for a new run (or chaos attempt) of `operator`.
     fn start(&mut self, operator: Operator, policy: &OperatorPolicy) {
         if self.operator != operator {
             self.operator = operator;
@@ -302,13 +228,99 @@ impl RunSlot {
         self.analyzer.reset();
         self.record.reset(operator);
         self.scell = ScellModScan::default();
+        self.scell_mod.per_channel.clear();
     }
 
-    /// Folds one final event of the slot's run.
-    fn feed(&mut self, ev: &TraceEvent, scell_mod: &mut ScellModStats) {
+    /// Folds the run's next event.
+    fn feed(&mut self, ev: &TraceEvent) {
         self.analyzer.feed(ev);
         self.record.feed(ev);
-        self.scell.feed(scell_mod, ev);
+        self.scell.feed(&mut self.scell_mod, ev);
+    }
+
+    /// The run's record and analysis, from the events fed so far.
+    fn finish(
+        &mut self,
+        area: &str,
+        location: usize,
+        device: PhoneModel,
+        seed: u64,
+    ) -> (RunRecord, RunAnalysis) {
+        let predictions = self.analyzer.predictions().expect("scoring enabled");
+        let analysis = self.analyzer.analysis();
+        let record = self
+            .record
+            .record(area, location, device, seed, &analysis, &predictions);
+        (record, analysis)
+    }
+
+    /// The chaos stage over the slot's rendered text. Up to
+    /// `max_attempts` times, corrupts the text with the attempt's chaos
+    /// seed, re-parses it lossily into `parsed`, and — when the loss stays
+    /// in bounds — analyzes the surviving events. Returns the first
+    /// accepted attempt's parse stats, record and analysis, or the last
+    /// attempt's failure reason (excessive loss, or a panic in these
+    /// stages).
+    fn run_chaos(
+        &mut self,
+        area: &Area,
+        policy: &OperatorPolicy,
+        job: &Job,
+        device: PhoneModel,
+        opts: &ChaosOptions,
+        parsed: &mut Vec<TraceEvent>,
+    ) -> Result<(ParseStats, RunRecord, RunAnalysis), String> {
+        // Whether the job is poisoned doesn't change between attempts, so
+        // the chaos config is picked (and the destroy config materialized)
+        // once per job, then borrowed by every attempt.
+        let poisoned = opts
+            .poison
+            .as_ref()
+            .is_some_and(|(a, l)| *a == area.name && *l == job.location);
+        let destroy;
+        let chaos_cfg: &ChaosConfig = if poisoned {
+            destroy = ChaosConfig::destroy();
+            &destroy
+        } else {
+            &opts.chaos
+        };
+        let mut last_reason = String::new();
+        for attempt in 1..=opts.max_attempts.max(1) {
+            if attempt > 1 && opts.backoff_base_ms > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(
+                    opts.backoff_base_ms << (attempt - 2),
+                ));
+            }
+            // Fresh fault pattern per attempt, reproducible from the job.
+            let chaos_seed = hash_words(&[job.seed, u64::from(attempt), 0xC4A05]);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let dirty =
+                    ChaosEngine::new(chaos_cfg.clone(), chaos_seed).corrupt_text(&self.text);
+                let stats = parse_str_lossy_into(&dirty, opts.policy, parsed);
+                if stats.loss_ratio() > opts.max_loss_ratio {
+                    return Err(format!(
+                        "loss ratio {:.2} exceeds {:.2}",
+                        stats.loss_ratio(),
+                        opts.max_loss_ratio
+                    ));
+                }
+                // Analyze the *surviving* events: the record, like every
+                // other counter, reflects what an analyst reading the dirty
+                // capture would see.
+                self.start(area.operator, policy);
+                for ev in parsed.iter() {
+                    self.feed(ev);
+                }
+                let (record, analysis) = self.finish(&area.name, job.location, device, job.seed);
+                Ok((stats, record, analysis))
+            }))
+            .unwrap_or_else(|_| Err("pipeline panicked".to_string()));
+            match outcome {
+                Ok(accepted) => return Ok(accepted),
+                Err(reason) => last_reason = reason,
+            }
+        }
+        Err(last_reason)
     }
 }
 
@@ -345,113 +357,18 @@ impl Merge for Aggregates {
 }
 
 impl Aggregates {
-    /// Runs one chaos-mode job: retries with backoff and fresh chaos
-    /// seeds, accepts the first attempt whose loss stays in bounds, and
-    /// quarantines the run when every attempt fails (by loss or by panic).
-    fn run_chaotic(
-        &mut self,
-        area: &Area,
-        job: &Job,
-        cfg: &CampaignConfig,
-        opts: &ChaosOptions,
-    ) -> Option<(RunRecord, SimOutput, onoff_detect::RunAnalysis)> {
-        let attempts = opts.max_attempts.max(1);
-        let mut last_reason = String::new();
-        // Whether the job is poisoned doesn't change between attempts, so
-        // the chaos config is picked (and the destroy config materialized)
-        // once per job, then borrowed by every attempt.
-        let poisoned = opts
-            .poison
-            .as_ref()
-            .is_some_and(|(a, l)| *a == area.name && *l == job.location);
-        let destroy;
-        let chaos_cfg: &ChaosConfig = if poisoned {
-            destroy = ChaosConfig::destroy();
-            &destroy
-        } else {
-            &opts.chaos
-        };
-        for attempt in 1..=attempts {
-            if attempt > 1 && opts.backoff_base_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(
-                    opts.backoff_base_ms << (attempt - 2),
-                ));
-            }
-            // Fresh fault pattern per attempt, reproducible from the job.
-            let chaos_seed = hash_words(&[job.seed, u64::from(attempt), 0xC4A05]);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_location_chaotic(
-                    area,
-                    job.location,
-                    cfg.device,
-                    job.seed,
-                    cfg.duration_ms,
-                    chaos_cfg,
-                    opts.policy,
-                    chaos_seed,
-                )
-            }));
-            match result {
-                Ok((record, out, analysis, stats)) => {
-                    if stats.loss_ratio() <= opts.max_loss_ratio {
-                        self.quarantine.records_lost += stats.skipped;
-                        self.quarantine.timestamps_repaired += stats.timestamps_repaired;
-                        return Some((record, out, analysis));
-                    }
-                    last_reason = format!(
-                        "loss ratio {:.2} exceeds {:.2}",
-                        stats.loss_ratio(),
-                        opts.max_loss_ratio
-                    );
-                }
-                Err(_) => last_reason = "pipeline panicked".to_string(),
-            }
-        }
-        self.quarantine.runs.push(QuarantinedRun {
-            operator: area.operator,
-            area: area.name.clone(),
-            location: job.location,
-            seed: job.seed,
-            attempts,
-            reason: last_reason,
-        });
-        None
-    }
-
-    /// Executes one job and folds its outputs into this shard.
-    fn absorb(&mut self, area: &Area, job: &Job, cfg: &CampaignConfig) {
-        let run = match &cfg.chaos {
-            None => Some(run_location(
-                area,
-                job.location,
-                cfg.device,
-                job.seed,
-                cfg.duration_ms,
-            )),
-            Some(opts) => self.run_chaotic(area, job, cfg, opts),
-        };
-        let Some((record, out, analysis)) = run else {
-            // Quarantined: the run is in the ledger, not the aggregates.
-            return;
-        };
-        self.scell_mod
-            .entry(area.operator)
-            .or_default()
-            .add_trace(&out.events);
-        let events = out.events.len() as u64;
-        self.fold_run(area.operator, cfg.duration_ms, record, events, &analysis);
-    }
-
     /// Executes one contiguous same-area batch of jobs over the area's
-    /// shared precomputed tables, streaming each run's events through the
-    /// same fused analysis as [`run_location`].
+    /// shared precomputed tables.
     ///
     /// The whole pipeline runs out of the worker's [`RunScratch`]: the
     /// batch recycles pooled recorders, and each batch position's
     /// [`RunSlot`] — analyzer and scorer included — is reset between runs
-    /// instead of rebuilt. The slots see each run's events in exactly the
-    /// order a collected trace holds them, so the dataset stays
-    /// bitwise-identical to the per-run pipeline at any worker count.
+    /// instead of rebuilt. In clean mode the batch streams each run's
+    /// events straight into its slot; in chaos mode it streams them into
+    /// the slot's text, and the chaos stage then feeds the slot what
+    /// survives. Either way a slot sees its events in exactly the order a
+    /// collected trace holds them, so the dataset is bitwise-identical at
+    /// any worker count.
     #[allow(clippy::too_many_arguments)]
     fn absorb_batch(
         &mut self,
@@ -463,8 +380,12 @@ impl Aggregates {
         cfg: &CampaignConfig,
         scratch: &mut RunScratch,
     ) {
-        let RunScratch { slots, rec_pool } = scratch;
-        let mut batch = UeBatch::new(policy, device, tables, cfg.duration_ms, 1000);
+        let RunScratch {
+            slots,
+            rec_pool,
+            parsed,
+        } = scratch;
+        let mut batch = UeBatch::new(policy, device, tables, cfg.duration_ms, MEAS_PERIOD_MS);
         for job in jobs {
             batch.push_with_recorder(
                 MovementPath::Stationary(area.locations[job.location]),
@@ -476,38 +397,58 @@ impl Aggregates {
             slots.push(RunSlot::new(area.operator, policy));
         }
         let slots = &mut slots[..jobs.len()];
-        for slot in slots.iter_mut() {
-            slot.start(area.operator, policy);
-        }
-        let scell_mod = self.scell_mod.entry(area.operator).or_default();
-        batch.stream(rec_pool, |i, ev| slots[i].feed(ev, scell_mod));
-        for (job, slot) in jobs.iter().zip(slots.iter_mut()) {
-            let predictions = slot.analyzer.predictions().expect("scoring enabled");
-            let analysis = slot.analyzer.analysis();
-            let record = slot.record.record(
-                &area.name,
-                job.location,
-                cfg.device,
-                job.seed,
-                &analysis,
-                &predictions,
-            );
-            let events = slot.analyzer.events_seen() as u64;
-            self.fold_run(area.operator, cfg.duration_ms, record, events, &analysis);
+        match &cfg.chaos {
+            None => {
+                for slot in slots.iter_mut() {
+                    slot.start(area.operator, policy);
+                }
+                batch.stream(rec_pool, |i, ev| slots[i].feed(ev));
+                for (job, slot) in jobs.iter().zip(slots.iter_mut()) {
+                    let (record, analysis) =
+                        slot.finish(&area.name, job.location, cfg.device, job.seed);
+                    self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
+                }
+            }
+            Some(opts) => {
+                for slot in slots.iter_mut() {
+                    slot.text.clear();
+                }
+                batch.stream(rec_pool, |i, ev| {
+                    emit_event(ev, &mut slots[i].text)
+                        .expect("fmt::Write to a String is infallible")
+                });
+                for (job, slot) in jobs.iter().zip(slots.iter_mut()) {
+                    match slot.run_chaos(area, policy, job, cfg.device, opts, parsed) {
+                        Ok((stats, record, analysis)) => {
+                            self.quarantine.records_lost += stats.skipped;
+                            self.quarantine.timestamps_repaired += stats.timestamps_repaired;
+                            self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
+                        }
+                        // Quarantined: the run is in the ledger, not the
+                        // aggregates.
+                        Err(reason) => self.quarantine.runs.push(QuarantinedRun {
+                            operator: area.operator,
+                            area: area.name.clone(),
+                            location: job.location,
+                            seed: job.seed,
+                            attempts: opts.max_attempts.max(1),
+                            reason,
+                        }),
+                    }
+                }
+            }
         }
     }
 
-    /// Folds one finished run (record + event count + analysis) into this
-    /// shard — the accumulation point shared by the per-job, batched and
-    /// chaos pipelines. The SCell-modification counters are folded per
-    /// event by the caller.
+    /// Folds one accepted run — its record, analysis, event count and
+    /// SCell-modification counts — into this shard.
     fn fold_run(
         &mut self,
         operator: Operator,
         duration_ms: u64,
+        slot: &mut RunSlot,
         record: RunRecord,
-        events: u64,
-        analysis: &onoff_detect::RunAnalysis,
+        analysis: &RunAnalysis,
     ) {
         self.quarantine.clamped_events += analysis.degradation.clamped_events;
         let usage_nr = self.usage_nr.entry(operator).or_default();
@@ -522,7 +463,11 @@ impl Aggregates {
         } else {
             usage_lte.add_no_loop_run(&analysis.timeline, Rat::Lte);
         }
-        self.events_processed += events;
+        Merge::merge(
+            self.scell_mod.entry(operator).or_default(),
+            std::mem::take(&mut slot.scell_mod),
+        );
+        self.events_processed += slot.analyzer.events_seen() as u64;
         self.simulated_ms += duration_ms;
         self.records.push(record);
     }
@@ -586,15 +531,15 @@ fn enumerate_jobs(areas: &[Area], cfg: &CampaignConfig) -> Vec<Job> {
 const BATCH: usize = 8;
 
 /// Splits the area-major job list into contiguous same-area spans of at
-/// most [`BATCH`] jobs; every span shares one environment (and therefore
+/// most `batch` jobs; every span shares one environment (and therefore
 /// one set of precomputed tables).
-fn batch_spans(jobs: &[Job]) -> Vec<(usize, usize)> {
+fn batch_spans(jobs: &[Job], batch: usize) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut start = 0;
     while start < jobs.len() {
         let area_idx = jobs[start].area_idx;
         let mut end = start + 1;
-        while end < jobs.len() && end - start < BATCH && jobs[end].area_idx == area_idx {
+        while end < jobs.len() && end - start < batch && jobs[end].area_idx == area_idx {
             end += 1;
         }
         spans.push((start, end));
@@ -610,8 +555,8 @@ fn batch_spans(jobs: &[Job]) -> Vec<(usize, usize)> {
 ///
 /// Each worker also owns one scratch value built by `make_scratch`,
 /// threaded through every `absorb` call it makes — the hook that lets the
-/// batched pipeline reuse its recorders and per-slot analyzers across all
-/// units a worker drains. Scratch never crosses workers and
+/// pipeline reuse its recorders, per-slot analyzers and parse buffer
+/// across all units a worker drains. Scratch never crosses workers and
 /// never outlives the drain, so (given reset-safe reuse, see DESIGN.md
 /// §16) it cannot affect the merged result.
 fn drain_shards<U: Sync, S>(
@@ -656,22 +601,11 @@ fn drain_shards<U: Sync, S>(
     agg
 }
 
-/// Drains the job list. The clean path groups contiguous same-area jobs
-/// into [`UeBatch`]es stepping over per-area precomputed [`RadioTables`];
-/// chaos mode keeps the per-run dirty-capture pipeline (render → corrupt
-/// → lossy re-parse is inherently per-run text work).
-fn run_jobs(areas: &[Area], jobs: &[Job], cfg: &CampaignConfig) -> Aggregates {
-    let workers = cfg.parallelism.workers.max(1).min(jobs.len().max(1));
-    if cfg.chaos.is_some() {
-        // The dirty-capture pipeline is per-run text work; it carries no
-        // reusable scratch.
-        return drain_shards(
-            jobs,
-            workers,
-            || (),
-            |shard, (), job| shard.absorb(&areas[job.area_idx], job, cfg),
-        );
-    }
+/// Drains the job list: contiguous same-area jobs are grouped into
+/// [`UeBatch`]es stepping over per-area precomputed [`RadioTables`].
+/// Returns the merged aggregates and the number of workers that drained
+/// them, which is never more than the number of batches.
+fn run_jobs(areas: &[Area], jobs: &[Job], cfg: &CampaignConfig) -> (Aggregates, usize) {
     // Per-area precomputation, built once and shared by every batch (and
     // every worker): the policy, the device profile, and the radio tables.
     // Tables are salt-independent — each UE applies its own per-run fading
@@ -679,8 +613,11 @@ fn run_jobs(areas: &[Area], jobs: &[Job], cfg: &CampaignConfig) -> Aggregates {
     let policies: Vec<OperatorPolicy> = areas.iter().map(|a| policy_for(a.operator)).collect();
     let tables: Vec<RadioTables<'_>> = areas.iter().map(|a| RadioTables::new(&a.env)).collect();
     let device = cfg.device.profile();
-    let spans = batch_spans(jobs);
-    drain_shards(
+    // A chaos run keeps its rendered text (~180 KB for five minutes) until
+    // its attempts finish, so chaos batches hold one run.
+    let spans = batch_spans(jobs, if cfg.chaos.is_some() { 1 } else { BATCH });
+    let workers = cfg.parallelism.workers.min(spans.len()).max(1);
+    let agg = drain_shards(
         &spans,
         workers,
         RunScratch::default,
@@ -696,7 +633,8 @@ fn run_jobs(areas: &[Area], jobs: &[Job], cfg: &CampaignConfig) -> Aggregates {
                 scratch,
             )
         },
-    )
+    );
+    (agg, workers)
 }
 
 /// Runs the full eleven-area campaign and assembles the dataset.
@@ -704,7 +642,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Dataset {
     let started = std::time::Instant::now();
     let areas = all_areas(cfg.seed);
     let jobs = enumerate_jobs(&areas, cfg);
-    let mut agg = run_jobs(&areas, &jobs, cfg);
+    let (mut agg, workers) = run_jobs(&areas, &jobs, cfg);
 
     // Deterministic record order regardless of thread interleaving.
     agg.records.sort_by(|a, b| {
@@ -735,7 +673,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Dataset {
     let secs = wall.as_secs_f64().max(f64::MIN_POSITIVE);
     let stats = CampaignStats {
         runs: jobs.len(),
-        workers: cfg.parallelism.workers.max(1).min(jobs.len().max(1)),
+        workers,
         events_processed: agg.events_processed,
         simulated_ms: agg.simulated_ms,
         wall_ms: wall.as_millis() as u64,

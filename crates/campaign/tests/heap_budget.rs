@@ -1,4 +1,4 @@
-//! Working-set budget for the clean campaign.
+//! Working-set budgets for the clean and chaos campaigns.
 //!
 //! The batched pipeline streams every run's events straight into a
 //! per-slot analyzer and record fold (DESIGN.md §16), so a worker's heap
@@ -8,6 +8,11 @@
 //! alive must stay within [`BUDGET_BYTES`]. A pipeline that buffers whole
 //! traces again (≈ 5.5 MB here) fails it.
 //!
+//! A chaos run must keep its rendered capture until its attempts finish,
+//! so chaos batches hold one run. The chaos test pins that with its own
+//! budget, [`CHAOS_BUDGET_BYTES`]: eight-run chaos batches (≈ 8.6 MB here)
+//! fail it.
+//!
 //! The allocator counts live bytes for the measuring thread only, through
 //! a const-initialised thread-local flag, so tests running in parallel in
 //! this binary cannot disturb the figure. One worker keeps the whole
@@ -16,10 +21,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use onoff_campaign::{run_campaign, CampaignConfig, ParallelismConfig};
+use onoff_campaign::{run_campaign, CampaignConfig, ChaosOptions, ParallelismConfig};
 
 /// Peak working set allowed above the returned dataset.
 const BUDGET_BYTES: i64 = 2 << 20;
+
+/// Peak chaos-campaign working set allowed above the returned dataset.
+const CHAOS_BUDGET_BYTES: i64 = 4 << 20;
 
 thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
@@ -99,5 +107,35 @@ fn clean_campaign_working_set_within_budget() {
         working as f64 / 1_048_576.0,
         dataset as f64 / 1_048_576.0,
         BUDGET_BYTES as f64 / 1_048_576.0,
+    );
+}
+
+#[test]
+fn chaos_campaign_working_set_within_budget() {
+    let cfg = CampaignConfig {
+        runs_a1: 1,
+        runs_other: 1,
+        duration_ms: 300_000,
+        parallelism: ParallelismConfig::with_workers(1),
+        chaos: Some(ChaosOptions {
+            backoff_base_ms: 0,
+            ..ChaosOptions::default()
+        }),
+        ..CampaignConfig::default()
+    };
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
+    TRACKING.with(|on| on.set(true));
+    let ds = run_campaign(&cfg);
+    TRACKING.with(|on| on.set(false));
+    let working = PEAK.with(Cell::get) - LIVE.with(Cell::get);
+
+    assert!(ds.stats.events_processed > 10_000);
+    eprintln!("chaos working set {working} B");
+    assert!(
+        working <= CHAOS_BUDGET_BYTES,
+        "chaos campaign peaked {:.2} MB above its dataset (budget {:.2} MB)",
+        working as f64 / 1_048_576.0,
+        CHAOS_BUDGET_BYTES as f64 / 1_048_576.0,
     );
 }
