@@ -1,14 +1,20 @@
 //! `perfsnap` — fixed-workload performance snapshot for the analysis
-//! pipeline.
+//! pipeline, and the workspace's perf gate.
 //!
 //! Measures wall-clock throughput (events/sec, bytes/sec) and allocation
-//! counts (allocs/event) for the seven hot workloads the campaign
-//! exercises millions of times:
+//! counts (allocs/event) for the hot workloads the campaign and the
+//! serving tier exercise millions of times:
 //!
 //! * `parse`          — NSG log text → `Vec<TraceEvent>` (`parse_str`)
+//! * `parse-lossy`    — chaos-corrupted log text through the recovering
+//!   parser (`parse_str_lossy_into`, `SkipAndCount`) into one reused
+//!   buffer; its events are record attempts (`ParseStats::records`)
+//! * `emit`           — events → NSG log text (`emit`)
 //! * `extract`        — events → CS timeline (`extract_timeline`)
 //! * `detect`         — events → full `RunAnalysis` (`analyze_trace`)
 //! * `stream-feed`    — events through the incremental `TraceAnalyzer`
+//! * `stream-feed-8x` — the same over an 8× longer trace: read against
+//!   `stream-feed`, it shows how per-event cost grows with trace length
 //! * `predict`        — events through a warm `OnlineScorer` (§6 online
 //!   scoring): must run at exactly 0 allocs/event
 //! * `sim-step`       — one stationary run on the table-driven path
@@ -29,10 +35,8 @@
 //! Usage:
 //!
 //! ```text
-//! perfsnap [--out FILE]            # measure, write snapshot JSON
-//!          [--before FILE]         # embed FILE's numbers as "before"
-//!          [--check FILE]          # compare vs FILE, exit 1 on regression
-//!          [--threshold X]         # regression factor for --check (default 2.0)
+//! perfsnap [--out FILE]     # snapshot JSON destination (default BENCH_PR10.json)
+//!          [--check FILE]   # gate against baseline FILE, exit 1 on failure
 //! ```
 //!
 //! Each workload runs one unmetered warm-up pass and then `N >= 5`
@@ -44,9 +48,11 @@
 //! The snapshot schema (`perfsnap/v2`) is one JSON object with a
 //! `workloads` array; each entry carries `events`, `bytes`, `wall_ms`,
 //! `events_per_sec`, `bytes_per_sec`, `allocs`, `allocs_per_event`,
-//! `repetitions`, and — with `--before` — the prior run's numbers under
-//! `"before"`. `--check` fails when events/sec drops below
-//! `before / threshold` or allocs/event rises above `before * threshold`.
+//! `repetitions`, and — with `--check` — the baseline's numbers under
+//! `"before"`. `--check` fails when a workload has no baseline entry,
+//! when its events/sec drops below half the baseline's or its
+//! allocs/event rises above twice the baseline's (at least 0.5), or when
+//! any absolute floor in `verdict` is broken.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,16 +62,15 @@ use onoff_campaign::areas::area_a1;
 use onoff_campaign::{CampaignConfig, ParallelismConfig};
 use onoff_detect::cellset::extract_timeline;
 use onoff_detect::{analyze_trace, TraceAnalyzer};
+use onoff_nsglog::{parse_str_lossy_into, RecoveryPolicy};
 use onoff_policy::{op_t_policy, PhoneModel};
 use onoff_predict::{OnlineScorer, ScoringConfig};
 use onoff_rrc::trace::TraceEvent;
 use onoff_serve::{ServeConfig, ServeEngine, SessionMeta};
-use onoff_sim::{simulate, SimConfig};
+use onoff_sim::{chaos_text, simulate, ChaosConfig, SimConfig};
 use onoff_store::StoreReader;
 
-/// Counts every heap allocation. The binary self-contains the counter
-/// (criterion is a dev-dependency, unavailable to `src/bin` targets); the
-/// pattern mirrors `benches/stream.rs`.
+/// Counts every heap allocation, so each workload reports allocs/event.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -190,6 +195,18 @@ impl StoreInfo {
     }
 }
 
+/// Feeds `events` through a fresh incremental core and finishes it: the
+/// body of the `stream-feed` workloads.
+fn stream_feed(events: &[TraceEvent]) -> (u64, u64) {
+    let mut core = TraceAnalyzer::new();
+    for ev in events {
+        core.feed(ev);
+    }
+    let analysis = core.finish();
+    std::hint::black_box(analysis.loops.len());
+    (events.len() as u64, 0)
+}
+
 fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
     let base = sample_events();
     let events = tile(&base, 4);
@@ -201,6 +218,19 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
         let parsed = onoff_nsglog::parse_str(&text).expect("workload text parses");
         (parsed.len() as u64, bytes)
     });
+    // The campaign's chaos stage applies `ChaosConfig::default()` (through
+    // `ChaosOptions::default()`). This report-heavy trace loses about half
+    // of its record attempts to it, more than the chaos campaign averages.
+    let dirty = chaos_text(&text, &ChaosConfig::default(), 0xD187).0;
+    let mut lossy = Vec::new();
+    let parse_lossy = run_workload(5, || {
+        let stats = parse_str_lossy_into(&dirty, RecoveryPolicy::SkipAndCount, &mut lossy);
+        (stats.records as u64, dirty.len() as u64)
+    });
+    let emit = run_workload(5, || {
+        let emitted = onoff_nsglog::emit(&events);
+        (n, emitted.len() as u64)
+    });
     let extract = run_workload(5, || {
         let tl = extract_timeline(&events);
         std::hint::black_box(tl.samples.len());
@@ -211,15 +241,9 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
         std::hint::black_box(analysis.loops.len());
         (n, 0)
     });
-    let stream = run_workload(5, || {
-        let mut core = TraceAnalyzer::new();
-        for ev in &events {
-            core.feed(ev);
-        }
-        let analysis = core.finish();
-        std::hint::black_box(analysis.loops.len());
-        (n, 0)
-    });
+    let stream = run_workload(5, || stream_feed(&events));
+    let long = tile(&base, 32);
+    let stream_8x = run_workload(5, || stream_feed(&long));
     let predict = {
         // Warm pass outside the metered region: the first traversal grows
         // the measurement table and per-cell reservoirs once. After
@@ -267,7 +291,7 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
         let reader = StoreReader::new(&store_bytes).expect("freshly encoded store is valid");
         let mut core = TraceAnalyzer::new();
         reader
-            .replay(onoff_nsglog::RecoveryPolicy::SkipAndCount, &mut core)
+            .replay(RecoveryPolicy::SkipAndCount, &mut core)
             .expect("lossy replay never errors");
         let analysis = core.finish();
         std::hint::black_box(analysis.loops.len());
@@ -322,9 +346,12 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
     (
         vec![
             ("parse", parse),
+            ("parse-lossy", parse_lossy),
+            ("emit", emit),
             ("extract", extract),
             ("detect", detect),
             ("stream-feed", stream),
+            ("stream-feed-8x", stream_8x),
             ("predict", predict),
             ("sim-step", sim_step),
             ("fused-campaign", campaign),
@@ -420,11 +447,118 @@ fn render(
     out
 }
 
+/// Regression factor `--check` allows against the baseline: events/sec
+/// may fall to half the baseline's, allocs/event may rise to twice it.
+/// Alloc counts are deterministic, so the factor is generous headroom for
+/// intentional small changes while still catching a per-event leak; the
+/// wall clock gets the same factor for shared-runner noise.
+const THRESHOLD: f64 = 2.0;
+
+/// The least allocs/event budget `--check` grants, so a workload whose
+/// baseline is near zero is not failed by a handful of allocations.
+const MIN_ALLOC_BUDGET: f64 = 0.5;
+
+/// Every reason `results` fails the gate against `baseline`, one line
+/// each, `workload: detail`; empty when it passes.
+///
+/// Beyond the baseline comparison, absolute floors pin what a relative
+/// gate would let drift:
+/// * `fused-campaign` clears 300k events/s, the pooled pipeline's floor;
+/// * `sim-step` and `fused-campaign` hold the pooled pipeline to
+///   ≤ 1.0 allocs/event;
+/// * a warm `predict` session makes exactly 0 allocations;
+/// * `store-replay` stays ≥ 5× `parse` and ≥ 1M events/s, and the store
+///   compresses the text ≥ 2×;
+/// * `serve-ingest` feeds ≥ 1M events (100k sessions × 12 events) at
+///   ≥ 150k events/s.
+fn verdict(
+    results: &[(&'static str, Sample)],
+    info: StoreInfo,
+    baseline: &[(String, Prior)],
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (name, s) in results {
+        let Some((_, p)) = baseline.iter().find(|(n, _)| n == name) else {
+            failures.push(format!("{name}: no baseline entry"));
+            continue;
+        };
+        if s.events_per_sec() < p.events_per_sec / THRESHOLD {
+            failures.push(format!(
+                "{name}: events/sec {:.0} < baseline {:.0} / {THRESHOLD}",
+                s.events_per_sec(),
+                p.events_per_sec
+            ));
+        }
+        if s.allocs_per_event() > (p.allocs_per_event * THRESHOLD).max(MIN_ALLOC_BUDGET) {
+            failures.push(format!(
+                "{name}: allocs/event {:.3} > baseline {:.3} x {THRESHOLD} (at least {MIN_ALLOC_BUDGET})",
+                s.allocs_per_event(),
+                p.allocs_per_event
+            ));
+        }
+    }
+
+    // A workload missing from `results` fails every floor on it.
+    let sample = |name: &str| results.iter().find(|(n, _)| *n == name).map(|(_, s)| *s);
+    let eps = |name: &str| sample(name).map_or(0.0, |s| s.events_per_sec());
+    let ape = |name: &str| sample(name).map_or(f64::INFINITY, |s| s.allocs_per_event());
+    let (fused, parse, replay) = (eps("fused-campaign"), eps("parse"), eps("store-replay"));
+    let (sim_ape, fused_ape) = (ape("sim-step"), ape("fused-campaign"));
+    let predict_allocs = sample("predict").map_or(u64::MAX, |s| s.allocs);
+    let (serve, serve_events) = (
+        eps("serve-ingest"),
+        sample("serve-ingest").map_or(0, |s| s.events),
+    );
+    let ratio = info.compression_ratio();
+    let floors = [
+        (
+            fused >= 300_000.0,
+            format!("fused-campaign: {fused:.0} events/s below the 300000 floor"),
+        ),
+        (
+            sim_ape <= 1.0,
+            format!("sim-step: {sim_ape:.3} allocs/event above the 1.0 budget"),
+        ),
+        (
+            fused_ape <= 1.0,
+            format!("fused-campaign: {fused_ape:.3} allocs/event above the 1.0 budget"),
+        ),
+        (
+            predict_allocs == 0,
+            format!("predict: {predict_allocs} allocations in a warm session, not 0"),
+        ),
+        (
+            replay >= 5.0 * parse,
+            format!("store-replay: {replay:.0} events/s under 5x parse's {parse:.0}"),
+        ),
+        (
+            replay >= 1_000_000.0,
+            format!("store-replay: {replay:.0} events/s below the 1000000 floor"),
+        ),
+        (
+            ratio >= 2.0,
+            format!("store: compression {ratio:.2}x below the 2x floor"),
+        ),
+        (
+            serve_events >= 1_000_000,
+            format!("serve-ingest: fed {serve_events} events, under 1000000"),
+        ),
+        (
+            serve >= 150_000.0,
+            format!("serve-ingest: {serve:.0} events/s below the 150000 floor"),
+        ),
+    ];
+    failures.extend(
+        floors
+            .into_iter()
+            .filter_map(|(ok, msg)| (!ok).then_some(msg)),
+    );
+    failures
+}
+
 fn main() {
     let mut out_path = String::from("BENCH_PR10.json");
-    let mut before_path: Option<String> = None;
     let mut check_path: Option<String> = None;
-    let mut threshold = 2.0f64;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -434,16 +568,11 @@ fn main() {
         };
         match arg.as_str() {
             "--out" => out_path = value("--out"),
-            "--before" => before_path = Some(value("--before")),
             "--check" => check_path = Some(value("--check")),
-            "--threshold" => {
-                threshold = value("--threshold")
-                    .parse()
-                    .unwrap_or_else(|_| die("--threshold needs a number"))
-            }
             other => die(&format!("unknown argument `{other}`")),
         }
     }
+    let baseline = check_path.as_deref().map(load_priors).unwrap_or_default();
 
     let (results, info) = measure();
     for (name, s) in &results {
@@ -455,13 +584,6 @@ fn main() {
             s.wall_s * 1e3,
         );
     }
-
-    let priors = match (&check_path, &before_path) {
-        (Some(p), _) => load_priors(p),
-        (None, Some(p)) => load_priors(p),
-        (None, None) => Vec::new(),
-    };
-
     eprintln!(
         "{:>15}: text {} bytes -> binary {} bytes ({:.2}x)",
         "store",
@@ -470,45 +592,193 @@ fn main() {
         info.compression_ratio(),
     );
 
-    let json = render(&results, info, &priors);
+    let json = render(&results, info, &baseline);
     if let Err(e) = std::fs::write(&out_path, &json) {
         die(&format!("cannot write {out_path}: {e}"));
     }
     eprintln!("wrote {out_path}");
 
     if check_path.is_some() {
-        let mut failed = false;
-        for (name, s) in &results {
-            let Some((_, p)) = priors.iter().find(|(n, _)| n == name) else {
-                eprintln!("check {name}: no baseline entry, skipping");
-                continue;
-            };
-            // Wall-clock regression: slower than baseline by more than the
-            // threshold factor.
-            if p.events_per_sec > 0.0 && s.events_per_sec() < p.events_per_sec / threshold {
-                eprintln!(
-                    "check {name}: REGRESSION events/sec {:.0} < baseline {:.0} / {threshold}",
-                    s.events_per_sec(),
-                    p.events_per_sec
-                );
-                failed = true;
-            }
-            // Allocation regression: alloc counts are deterministic, so
-            // the same threshold is generous headroom for intentional
-            // small changes while catching an accidental per-event leak.
-            let budget = (p.allocs_per_event * threshold).max(0.5);
-            if s.allocs_per_event() > budget {
-                eprintln!(
-                    "check {name}: REGRESSION allocs/event {:.3} > baseline {:.3} x {threshold}",
-                    s.allocs_per_event(),
-                    p.allocs_per_event
-                );
-                failed = true;
-            }
+        let failures = verdict(&results, info, &baseline);
+        for f in &failures {
+            eprintln!("check {f}");
         }
-        if failed {
+        if !failures.is_empty() {
             std::process::exit(1);
         }
-        eprintln!("check passed (threshold {threshold}x)");
+        eprintln!("check passed: baseline (threshold {THRESHOLD}x) and floors");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sample of `events` at exactly `events_per_sec`.
+    fn sample(events: u64, events_per_sec: f64, allocs: u64) -> Sample {
+        Sample {
+            events,
+            bytes: 0,
+            wall_s: events as f64 / events_per_sec,
+            allocs,
+            repetitions: 5,
+        }
+    }
+
+    /// A snapshot that clears every floor, its rates spaced so that each
+    /// floor can be pushed one unit past its limit without tripping the
+    /// baseline comparison or another floor.
+    fn snapshot() -> Vec<(&'static str, Sample)> {
+        vec![
+            ("parse", sample(3_596, 190_000.0, 5_991)),
+            ("detect", sample(3_596, 5_500_000.0, 452)),
+            ("predict", sample(3_596, 2_000_000.0, 0)),
+            ("sim-step", sample(629, 300_000.0, 375)),
+            ("fused-campaign", sample(10_631, 400_000.0, 10_355)),
+            ("store-replay", sample(3_596, 1_500_000.0, 2_347)),
+            ("serve-ingest", sample(1_200_000, 250_000.0, 2_022_681)),
+        ]
+    }
+
+    const STORE: StoreInfo = StoreInfo {
+        text_bytes: 4_141_660,
+        binary_bytes: 588_798,
+    };
+
+    /// The baseline file `snapshot()` would have written.
+    fn baseline() -> Vec<(String, Prior)> {
+        snapshot()
+            .into_iter()
+            .map(|(name, s)| {
+                let prior = Prior {
+                    events_per_sec: s.events_per_sec(),
+                    bytes_per_sec: s.bytes_per_sec(),
+                    allocs_per_event: s.allocs_per_event(),
+                };
+                (name.to_string(), prior)
+            })
+            .collect()
+    }
+
+    /// The gate's failures with workload `name` replaced by `s`.
+    fn verdict_with(name: &str, s: Sample) -> Vec<String> {
+        let mut snap = snapshot();
+        snap.iter_mut()
+            .find(|(n, _)| *n == name)
+            .expect("fixture workload")
+            .1 = s;
+        verdict(&snap, STORE, &baseline())
+    }
+
+    /// Asserts that workload `name` replaced by `s` fails the gate exactly
+    /// once, with a failure that starts with `expected`.
+    fn assert_trips(name: &str, s: Sample, expected: &str) {
+        let failures = verdict_with(name, s);
+        assert_eq!(failures.len(), 1, "{expected}: {failures:?}");
+        assert!(
+            failures[0].starts_with(expected),
+            "{expected}: {failures:?}"
+        );
+    }
+
+    #[test]
+    fn the_baselines_own_numbers_pass() {
+        assert_eq!(
+            verdict(&snapshot(), STORE, &baseline()),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn a_workload_without_a_baseline_entry_fails() {
+        let mut without_detect = baseline();
+        without_detect.retain(|(n, _)| n != "detect");
+        let failures = verdict(&snapshot(), STORE, &without_detect);
+        assert_eq!(failures, ["detect: no baseline entry"]);
+    }
+
+    #[test]
+    fn events_per_sec_under_half_the_baseline_fails() {
+        assert!(verdict_with("detect", sample(3_596, 2_750_001.0, 452)).is_empty());
+        assert_trips(
+            "detect",
+            sample(3_596, 2_749_999.0, 452),
+            "detect: events/sec",
+        );
+    }
+
+    #[test]
+    fn allocs_per_event_over_the_budget_fails() {
+        // detect's baseline is 0.126 allocs/event: the 0.5 minimum budget
+        // applies, 1,798 allocations over 3,596 events.
+        assert!(verdict_with("detect", sample(3_596, 5_500_000.0, 1_798)).is_empty());
+        assert_trips(
+            "detect",
+            sample(3_596, 5_500_000.0, 1_799),
+            "detect: allocs/event",
+        );
+        // parse's baseline is 5,991 allocations: twice that is the budget.
+        assert!(verdict_with("parse", sample(3_596, 190_000.0, 11_981)).is_empty());
+        assert_trips(
+            "parse",
+            sample(3_596, 190_000.0, 11_983),
+            "parse: allocs/event",
+        );
+    }
+
+    #[test]
+    fn each_floor_trips_alone() {
+        let cases = [
+            (
+                "fused-campaign",
+                sample(10_631, 299_999.0, 10_355),
+                "fused-campaign: 299999 events/s",
+            ),
+            (
+                "sim-step",
+                sample(629, 300_000.0, 630),
+                "sim-step: 1.002 allocs/event",
+            ),
+            (
+                "fused-campaign",
+                sample(10_631, 400_000.0, 10_632),
+                "fused-campaign: 1.000 allocs/event",
+            ),
+            (
+                "predict",
+                sample(3_596, 2_000_000.0, 1),
+                "predict: 1 allocations",
+            ),
+            // store-replay's 1.5M events/s under 5x parse's 300,001.
+            (
+                "parse",
+                sample(3_596, 300_001.0, 5_991),
+                "store-replay: 1500000 events/s under 5x",
+            ),
+            (
+                "store-replay",
+                sample(3_596, 999_999.0, 2_347),
+                "store-replay: 999999 events/s below",
+            ),
+            (
+                "serve-ingest",
+                sample(999_999, 250_000.0, 0),
+                "serve-ingest: fed 999999 events",
+            ),
+            (
+                "serve-ingest",
+                sample(1_200_000, 149_999.0, 2_022_681),
+                "serve-ingest: 149999 events/s",
+            ),
+        ];
+        for (name, s, expected) in cases {
+            assert_trips(name, s, expected);
+        }
+        let barely_compressed = StoreInfo {
+            text_bytes: 2_000_000,
+            binary_bytes: 1_000_001,
+        };
+        let failures = verdict(&snapshot(), barely_compressed, &baseline());
+        assert_eq!(failures, ["store: compression 2.00x below the 2x floor"]);
     }
 }

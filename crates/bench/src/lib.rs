@@ -2,7 +2,8 @@
 //!
 //! Reproduction harness: one binary target (`repro`) that regenerates every
 //! table and figure of the paper's evaluation from the simulated campaign,
-//! plus Criterion performance benches over the pipeline (`benches/`).
+//! plus `perfsnap`, the fixed-workload perf snapshot and CI gate over the
+//! pipeline (`src/bin/perfsnap.rs`).
 //!
 //! Run `cargo run -p onoff-bench --release --bin repro -- all` (or a single
 //! experiment id like `fig10`) to print paper-style rows; EXPERIMENTS.md
