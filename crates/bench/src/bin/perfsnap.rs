@@ -18,7 +18,7 @@
 //! * `predict`        — events through a warm `OnlineScorer` (§6 online
 //!   scoring): must run at exactly 0 allocs/event
 //! * `sim-step`       — one stationary run on the table-driven path
-//!   (`simulate`): the per-step radio sweep the batched campaign amortizes
+//!   (`simulate`): the radio sweep and engine step every campaign run pays
 //! * `fused-campaign` — a one-run-per-location campaign (`run_campaign`)
 //! * `store-encode`   — events → binary columnar store (`encode_events`)
 //! * `store-replay`   — binary store replayed straight into the streaming

@@ -51,7 +51,8 @@ pub struct Dataset {
 pub struct CampaignStats {
     /// Number of stationary runs executed.
     pub runs: usize,
-    /// Worker threads used.
+    /// Worker threads used: the requested count, capped at the number of
+    /// runs.
     pub workers: usize,
     /// Total trace events produced and analyzed.
     pub events_processed: u64,

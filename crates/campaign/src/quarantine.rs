@@ -2,10 +2,9 @@
 //!
 //! A chaos campaign replays every run through the dirty-capture stage:
 //! simulator output is rendered to NSG text, corrupted by a seeded
-//! [`ChaosConfig`](onoff_sim::ChaosConfig), re-parsed under a lossy
-//! [`RecoveryPolicy`](onoff_nsglog::RecoveryPolicy), and analyzed. A run
-//! whose loss stays within bounds contributes to the dataset like any
-//! other; a run that fails (excessive loss, or a panic in the stages that
+//! [`ChaosConfig`], re-parsed under a lossy [`RecoveryPolicy`], and
+//! analyzed. A run whose loss stays within bounds contributes to the
+//! dataset like any other; a run that fails (excessive loss, or a panic in the stages that
 //! see dirty input: corrupt, parse, analyze) is **retried with backoff and
 //! a fresh chaos seed** over the same rendered text, and if it keeps
 //! failing it is **quarantined** — recorded in the dataset's

@@ -3,34 +3,33 @@
 //!
 //! Every (area, location, run) job is enumerated up front with its seed,
 //! and every run — clean, chaos, or a lone [`run_location`] — goes through
-//! one pipeline. Contiguous same-area jobs are grouped into batches and
-//! each worker steps a whole [`UeBatch`] of UEs through that area's shared
-//! [`RadioTables`] — the radio precomputation (shadowing fields, channel
-//! cell lists, compiled path-loss constants) is built once per area
-//! instead of once per run, and every UE in the batch memoizes its sweep
-//! against the shared tables. The batch streams each UE's events into that
-//! UE's [`RunSlot`] (analyzer, record fold and SCell scan) as soon as they
-//! are final, so no whole trace is ever held. Workers claim batches
-//! through a shared atomic cursor and accumulate into **private**
-//! [`Aggregates`] shards — no lock is held anywhere on the hot path.
-//! Shards are folded together once at the end through commutative
-//! [`Merge`] operations and a final deterministic record sort; because
-//! every UE in a batch is fully independent (exact memoization, not
-//! approximation), the resulting [`Dataset`] is bitwise-identical for any
-//! worker count *and* any batch grouping.
+//! one pipeline: a [`Stepper`] over its area's shared [`RadioTables`] and
+//! [`PolicyTables`], feeding a `RunSlot` (analyzer, record fold and SCell
+//! scan). The per-area precomputation (shadowing fields, channel cell
+//! lists, compiled path-loss constants, flattened channel rules) is built
+//! once per area instead of once per run, and every run memoizes its sweep
+//! against the shared tables. Workers claim one job at a time through a
+//! shared atomic cursor; in clean mode the stepper streams the run's
+//! events into the worker's one slot as soon as they are final, so no
+//! whole trace is ever held. Workers accumulate into **private**
+//! `Aggregates` shards — no lock is held anywhere on the hot path. Shards
+//! are folded together once at the end through commutative [`Merge`]
+//! operations and a final deterministic record sort; because every run is
+//! fully independent (exact memoization, not approximation), the resulting
+//! [`Dataset`] is bitwise-identical for any worker count.
 //!
 //! With [`CampaignConfig::chaos`] set, chaos is a stage after the stream:
-//! the batch renders each run's events to NSG text, then each attempt
+//! the stepper renders the run's events to NSG text, then each attempt
 //! corrupts that text with a fresh seeded chaos engine, re-parses it
-//! lossily and feeds the survivors to the run's slot. A run whose loss
-//! stays out of bounds is retried with backoff and quarantined into the
-//! dataset's [`QuarantineReport`] once every attempt has failed, instead
-//! of aborting the campaign. Retries reuse the rendered text, so a chaos
-//! run is simulated exactly once. A panic in the stages that see dirty
-//! input (corrupt → parse → analyze) fails only its attempt; the simulator
-//! sees no dirty input and is deterministic in the job seed, so a retry
-//! could never get past a panic there, and it aborts the campaign as it
-//! does in clean mode.
+//! lossily and feeds the survivors to the slot. A run whose loss stays out
+//! of bounds is retried with backoff and quarantined into the dataset's
+//! [`QuarantineReport`] once every attempt has failed, instead of aborting
+//! the campaign. Retries reuse the rendered text, so a chaos run is
+//! simulated exactly once. A panic in the stages that see dirty input
+//! (corrupt → parse → analyze) fails only its attempt; the simulator sees
+//! no dirty input and is deterministic in the job seed, so a retry could
+//! never get past a panic there, and it aborts the campaign as it does in
+//! clean mode.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,12 +40,14 @@ use onoff_detect::{RunAnalysis, TraceAnalyzer};
 use onoff_nsglog::{emit_event, parse_str_lossy_into, ParseStats};
 use onoff_policy::{policy_for, DeviceProfile, Operator, OperatorPolicy, PhoneModel};
 use onoff_radio::noise::hash_words;
-use onoff_radio::RadioTables;
+use onoff_radio::{RadioTables, UeSampler};
 use onoff_rrc::ids::Rat;
 use onoff_rrc::perf::FxMap;
 use onoff_rrc::trace::TraceEvent;
 use onoff_sim::recorder::Recorder;
-use onoff_sim::{ChaosConfig, ChaosEngine, MovementPath, SimOutput, UeBatch};
+use onoff_sim::{
+    ChaosConfig, ChaosEngine, MovementPath, PolicyTables, SimOutput, StepCtx, Stepper,
+};
 
 use crate::areas::{all_areas, Area};
 use crate::dataset::{location_predictions, CampaignStats, Dataset};
@@ -143,10 +144,10 @@ pub fn run_location(
 /// [`run_location`] with an explicit (possibly modified) policy — the
 /// hook for mitigation/what-if experiments.
 ///
-/// A batch of one through the campaign pipeline: the run is simulated
-/// over the area's tables, its trace is collected for the caller, and the
-/// same [`RunSlot`] a campaign worker uses analyzes it and builds the
-/// record. Agreement with the emit → parse text round-trip is enforced by
+/// One run through the campaign pipeline: the run is simulated over the
+/// area's tables, its trace is collected for the caller, and the same
+/// `RunSlot` a campaign worker uses analyzes it and builds the record.
+/// Agreement with the emit → parse text round-trip is enforced by
 /// `tests/fused_roundtrip.rs`.
 pub fn run_location_with_policy(
     area: &Area,
@@ -156,12 +157,14 @@ pub fn run_location_with_policy(
     duration_ms: u64,
     policy: OperatorPolicy,
 ) -> (RunRecord, SimOutput, RunAnalysis) {
-    let tables = RadioTables::new(&area.env);
+    let shared = AreaTables::new(area, policy);
     let profile = device.profile();
-    let mut batch = UeBatch::new(&policy, &profile, &tables, duration_ms, MEAS_PERIOD_MS);
-    batch.push(MovementPath::Stationary(area.locations[location]), seed);
-    let out = batch.run().pop().expect("a batch of one yields one run");
-    let mut slot = RunSlot::new(area.operator, &policy);
+    let path = MovementPath::Stationary(area.locations[location]);
+    let mut out = SimOutput::default();
+    shared
+        .stepper(&profile, &path, seed, duration_ms)
+        .collect_into(Recorder::new(), &mut out);
+    let mut slot = RunSlot::new(area.operator, &shared.policy);
     for ev in &out.events {
         slot.feed(ev);
     }
@@ -169,25 +172,67 @@ pub fn run_location_with_policy(
     (record, out, analysis)
 }
 
+/// An area's shared run inputs, built once and read by every run there
+/// (and every worker): the policy, its flattened channel rules and the
+/// radio tables. The tables are salt-independent — each run applies its
+/// own fading salt inside its sampler — so one unsalted build serves all
+/// seeds.
+struct AreaTables<'a> {
+    area: &'a Area,
+    policy: OperatorPolicy,
+    ptab: PolicyTables,
+    tables: RadioTables<'a>,
+}
+
+impl<'a> AreaTables<'a> {
+    fn new(area: &'a Area, policy: OperatorPolicy) -> AreaTables<'a> {
+        AreaTables {
+            area,
+            ptab: PolicyTables::new(&policy),
+            policy,
+            tables: RadioTables::new(&area.env),
+        }
+    }
+
+    /// A fresh UE for one run of this area along `path`.
+    fn stepper<'s>(
+        &'s self,
+        device: &'s DeviceProfile,
+        path: &'s MovementPath,
+        seed: u64,
+        duration_ms: u64,
+    ) -> Stepper<'s, UeSampler<'s>> {
+        let cx = StepCtx {
+            policy: &self.policy,
+            device,
+            path,
+            ptab: &self.ptab,
+            seed,
+        };
+        let sampler = UeSampler::with_salt(&self.tables, seed);
+        Stepper::new(cx, sampler, duration_ms, MEAS_PERIOD_MS)
+    }
+}
+
 /// Per-worker run scratch: everything the streamed sim→detect pipeline
-/// recycles across batched runs so the steady state allocates nothing.
+/// recycles across a worker's runs so the steady state allocates nothing.
 ///
-/// One instance lives for a worker's whole drain: one [`RunSlot`] per
-/// batch position, the recorder pool [`UeBatch::stream`] returns its
-/// recorders to, and the chaos stage's parse buffer. A recorder only holds
-/// the events of its UE's last step or so, and a slot only its analyzer's
-/// state, so a clean worker's footprint no longer grows with trace length
-/// (DESIGN.md §16). In chaos mode a slot also keeps its run's rendered
+/// One instance lives for a worker's whole drain: one `RunSlot`, built at
+/// the worker's first run and reset for every later one, one recorder,
+/// and the chaos stage's parse buffer. The recorder only holds the events
+/// of the run's last step or so, and the slot only its analyzer's state,
+/// so a clean worker's footprint does not grow with trace length
+/// (DESIGN.md §16). In chaos mode the slot also keeps the run's rendered
 /// text until the run's attempts finish.
 #[derive(Default)]
 struct RunScratch {
-    slots: Vec<RunSlot>,
-    rec_pool: Vec<Recorder>,
+    slot: Option<RunSlot>,
+    rec: Recorder,
     parsed: Vec<TraceEvent>,
 }
 
-/// The consumer for one batch position: the fused analyzer (scoring on)
-/// plus the record and SCell-modification folds, all reset per run.
+/// The consumer of a run: the fused analyzer (scoring on) plus the record
+/// and SCell-modification folds, all reset per run.
 ///
 /// [`TraceAnalyzer::reset`] is observationally identical to a fresh core
 /// (pinned by the `reset_core_equals_fresh_core` proptest in
@@ -357,84 +402,59 @@ impl Merge for Aggregates {
 }
 
 impl Aggregates {
-    /// Executes one contiguous same-area batch of jobs over the area's
-    /// shared precomputed tables.
+    /// Executes one job over its area's shared tables.
     ///
     /// The whole pipeline runs out of the worker's [`RunScratch`]: the
-    /// batch recycles pooled recorders, and each batch position's
-    /// [`RunSlot`] — analyzer and scorer included — is reset between runs
-    /// instead of rebuilt. In clean mode the batch streams each run's
-    /// events straight into its slot; in chaos mode it streams them into
+    /// stepper records into the worker's recorder, and the worker's
+    /// `RunSlot` — analyzer and scorer included — is reset between runs
+    /// instead of rebuilt. In clean mode the stepper streams the run's
+    /// events straight into the slot; in chaos mode it streams them into
     /// the slot's text, and the chaos stage then feeds the slot what
-    /// survives. Either way a slot sees its events in exactly the order a
-    /// collected trace holds them, so the dataset is bitwise-identical at
+    /// survives. Either way the slot sees the events in exactly the order
+    /// a collected trace holds them, so the dataset is bitwise-identical at
     /// any worker count.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_batch(
+    fn absorb_run(
         &mut self,
-        area: &Area,
-        policy: &OperatorPolicy,
-        tables: &RadioTables<'_>,
+        shared: &AreaTables<'_>,
         device: &DeviceProfile,
-        jobs: &[Job],
+        job: &Job,
         cfg: &CampaignConfig,
         scratch: &mut RunScratch,
     ) {
-        let RunScratch {
-            slots,
-            rec_pool,
-            parsed,
-        } = scratch;
-        let mut batch = UeBatch::new(policy, device, tables, cfg.duration_ms, MEAS_PERIOD_MS);
-        for job in jobs {
-            batch.push_with_recorder(
-                MovementPath::Stationary(area.locations[job.location]),
-                job.seed,
-                rec_pool.pop().unwrap_or_default(),
-            );
-        }
-        while slots.len() < jobs.len() {
-            slots.push(RunSlot::new(area.operator, policy));
-        }
-        let slots = &mut slots[..jobs.len()];
+        let (area, policy) = (shared.area, &shared.policy);
+        let RunScratch { slot, rec, parsed } = scratch;
+        let slot = slot.get_or_insert_with(|| RunSlot::new(area.operator, policy));
+        let path = MovementPath::Stationary(area.locations[job.location]);
+        let stepper = shared.stepper(device, &path, job.seed, cfg.duration_ms);
         match &cfg.chaos {
             None => {
-                for slot in slots.iter_mut() {
-                    slot.start(area.operator, policy);
-                }
-                batch.stream(rec_pool, |i, ev| slots[i].feed(ev));
-                for (job, slot) in jobs.iter().zip(slots.iter_mut()) {
-                    let (record, analysis) =
-                        slot.finish(&area.name, job.location, cfg.device, job.seed);
-                    self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
-                }
+                slot.start(area.operator, policy);
+                *rec = stepper.stream(std::mem::take(rec), |ev| slot.feed(ev));
+                let (record, analysis) =
+                    slot.finish(&area.name, job.location, cfg.device, job.seed);
+                self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
             }
             Some(opts) => {
-                for slot in slots.iter_mut() {
-                    slot.text.clear();
-                }
-                batch.stream(rec_pool, |i, ev| {
-                    emit_event(ev, &mut slots[i].text)
-                        .expect("fmt::Write to a String is infallible")
+                slot.text.clear();
+                *rec = stepper.stream(std::mem::take(rec), |ev| {
+                    emit_event(ev, &mut slot.text).expect("fmt::Write to a String is infallible")
                 });
-                for (job, slot) in jobs.iter().zip(slots.iter_mut()) {
-                    match slot.run_chaos(area, policy, job, cfg.device, opts, parsed) {
-                        Ok((stats, record, analysis)) => {
-                            self.quarantine.records_lost += stats.skipped;
-                            self.quarantine.timestamps_repaired += stats.timestamps_repaired;
-                            self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
-                        }
-                        // Quarantined: the run is in the ledger, not the
-                        // aggregates.
-                        Err(reason) => self.quarantine.runs.push(QuarantinedRun {
-                            operator: area.operator,
-                            area: area.name.clone(),
-                            location: job.location,
-                            seed: job.seed,
-                            attempts: opts.max_attempts.max(1),
-                            reason,
-                        }),
+                match slot.run_chaos(area, policy, job, cfg.device, opts, parsed) {
+                    Ok((stats, record, analysis)) => {
+                        self.quarantine.records_lost += stats.skipped;
+                        self.quarantine.timestamps_repaired += stats.timestamps_repaired;
+                        self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
                     }
+                    // Quarantined: the run is in the ledger, not the
+                    // aggregates.
+                    Err(reason) => self.quarantine.runs.push(QuarantinedRun {
+                        operator: area.operator,
+                        area: area.name.clone(),
+                        location: job.location,
+                        seed: job.seed,
+                        attempts: opts.max_attempts.max(1),
+                        reason,
+                    }),
                 }
             }
         }
@@ -525,51 +545,26 @@ fn enumerate_jobs(areas: &[Area], cfg: &CampaignConfig) -> Vec<Job> {
     jobs
 }
 
-/// Jobs per [`UeBatch`] on the clean path. Enough UEs to amortize a
-/// batch's lockstep sweep over the shared tables, small enough that a
-/// straggler area tail still load-balances across workers.
-const BATCH: usize = 8;
-
-/// Splits the area-major job list into contiguous same-area spans of at
-/// most `batch` jobs; every span shares one environment (and therefore
-/// one set of precomputed tables).
-fn batch_spans(jobs: &[Job], batch: usize) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut start = 0;
-    while start < jobs.len() {
-        let area_idx = jobs[start].area_idx;
-        let mut end = start + 1;
-        while end < jobs.len() && end - start < batch && jobs[end].area_idx == area_idx {
-            end += 1;
-        }
-        spans.push((start, end));
-        start = end;
-    }
-    spans
-}
-
-/// Drains `units` with `workers` threads claiming through a shared atomic
-/// cursor, folding into per-worker [`Aggregates`] shards merged at the
+/// Drains `jobs` with `workers` threads claiming through a shared atomic
+/// cursor, folding into per-worker `Aggregates` shards merged at the
 /// end. Every [`Merge`] impl is commutative, so the result is independent
-/// of both worker count and unit interleaving.
+/// of both worker count and job interleaving.
 ///
-/// Each worker also owns one scratch value built by `make_scratch`,
-/// threaded through every `absorb` call it makes — the hook that lets the
-/// pipeline reuse its recorders, per-slot analyzers and parse buffer
-/// across all units a worker drains. Scratch never crosses workers and
-/// never outlives the drain, so (given reset-safe reuse, see DESIGN.md
-/// §16) it cannot affect the merged result.
-fn drain_shards<U: Sync, S>(
-    units: &[U],
+/// Each worker also owns one [`RunScratch`], threaded through every
+/// `absorb` call it makes, so the pipeline reuses its recorder, slot and
+/// parse buffer across all jobs a worker drains. Scratch never crosses
+/// workers and never outlives the drain, so (given reset-safe reuse, see
+/// DESIGN.md §16) it cannot affect the merged result.
+fn drain_shards(
+    jobs: &[Job],
     workers: usize,
-    make_scratch: impl Fn() -> S + Sync,
-    absorb: impl Fn(&mut Aggregates, &mut S, &U) + Sync,
+    absorb: impl Fn(&mut Aggregates, &mut RunScratch, &Job) + Sync,
 ) -> Aggregates {
     if workers <= 1 {
         let mut agg = Aggregates::default();
-        let mut scratch = make_scratch();
-        for unit in units {
-            absorb(&mut agg, &mut scratch, unit);
+        let mut scratch = RunScratch::default();
+        for job in jobs {
+            absorb(&mut agg, &mut scratch, job);
         }
         return agg;
     }
@@ -579,11 +574,11 @@ fn drain_shards<U: Sync, S>(
             .map(|_| {
                 scope.spawn(|| {
                     let mut shard = Aggregates::default();
-                    let mut scratch = make_scratch();
+                    let mut scratch = RunScratch::default();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = units.get(i) else { break };
-                        absorb(&mut shard, &mut scratch, unit);
+                        let Some(job) = jobs.get(i) else { break };
+                        absorb(&mut shard, &mut scratch, job);
                     }
                     shard
                 })
@@ -601,39 +596,19 @@ fn drain_shards<U: Sync, S>(
     agg
 }
 
-/// Drains the job list: contiguous same-area jobs are grouped into
-/// [`UeBatch`]es stepping over per-area precomputed [`RadioTables`].
+/// Drains the job list, one job per claim, over per-area shared tables.
 /// Returns the merged aggregates and the number of workers that drained
-/// them, which is never more than the number of batches.
+/// them, which is never more than the number of jobs.
 fn run_jobs(areas: &[Area], jobs: &[Job], cfg: &CampaignConfig) -> (Aggregates, usize) {
-    // Per-area precomputation, built once and shared by every batch (and
-    // every worker): the policy, the device profile, and the radio tables.
-    // Tables are salt-independent — each UE applies its own per-run fading
-    // salt inside its sampler — so one unsalted build serves all seeds.
-    let policies: Vec<OperatorPolicy> = areas.iter().map(|a| policy_for(a.operator)).collect();
-    let tables: Vec<RadioTables<'_>> = areas.iter().map(|a| RadioTables::new(&a.env)).collect();
+    let shared: Vec<AreaTables<'_>> = areas
+        .iter()
+        .map(|a| AreaTables::new(a, policy_for(a.operator)))
+        .collect();
     let device = cfg.device.profile();
-    // A chaos run keeps its rendered text (~180 KB for five minutes) until
-    // its attempts finish, so chaos batches hold one run.
-    let spans = batch_spans(jobs, if cfg.chaos.is_some() { 1 } else { BATCH });
-    let workers = cfg.parallelism.workers.min(spans.len()).max(1);
-    let agg = drain_shards(
-        &spans,
-        workers,
-        RunScratch::default,
-        |shard, scratch, &(start, end)| {
-            let area_idx = jobs[start].area_idx;
-            shard.absorb_batch(
-                &areas[area_idx],
-                &policies[area_idx],
-                &tables[area_idx],
-                &device,
-                &jobs[start..end],
-                cfg,
-                scratch,
-            )
-        },
-    );
+    let workers = cfg.parallelism.workers.min(jobs.len()).max(1);
+    let agg = drain_shards(jobs, workers, |shard, scratch, job| {
+        shard.absorb_run(&shared[job.area_idx], &device, job, cfg, scratch)
+    });
     (agg, workers)
 }
 

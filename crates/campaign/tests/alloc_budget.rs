@@ -1,11 +1,11 @@
 //! Allocation-budget regression test for the fused campaign path.
 //!
-//! The campaign runner drains every batch out of a per-worker
-//! `RunScratch` (DESIGN.md §16): pooled recorders stream each UE's events
-//! through `UeBatch::stream` and take the spilled report rows back once
-//! the consumer has seen them, and each batch slot's `TraceAnalyzer` —
-//! warmed scorer included — and record fold are `reset` between runs
-//! instead of rebuilt. This test pins that property with a counting
+//! The campaign runner drains every job out of a per-worker `RunScratch`
+//! (DESIGN.md §16): the worker's one recorder streams each run's events
+//! through `Stepper::stream` and takes the spilled report rows back once
+//! the consumer has seen them, and the worker's `TraceAnalyzer` — warmed
+//! scorer included — and record fold are `reset` between runs instead of
+//! rebuilt. This test pins that property with a counting
 //! global allocator so an accidental per-run rebuild — or a new
 //! `clone()`/`format!` on the per-event path — fails CI instead of
 //! silently eroding the `fused-campaign` perf-snapshot numbers.

@@ -1,17 +1,17 @@
 //! Working-set budgets for the clean and chaos campaigns.
 //!
-//! The batched pipeline streams every run's events straight into a
-//! per-slot analyzer and record fold (DESIGN.md §16), so a worker's heap
-//! holds analyzer state and a recorder window per batch slot rather than
-//! whole five-minute traces. This test pins that: with one worker, the
-//! peak live heap of `run_campaign` minus what the returned dataset keeps
-//! alive must stay within [`BUDGET_BYTES`]. A pipeline that buffers whole
-//! traces again (≈ 5.5 MB here) fails it.
+//! The campaign streams every run's events straight into the worker's
+//! one analyzer and record fold (DESIGN.md §16), so a worker's heap holds
+//! one analyzer's state and one recorder window rather than whole
+//! five-minute traces. This test pins that: with one worker, the peak
+//! live heap of `run_campaign` minus what the returned dataset keeps alive
+//! must stay within [`BUDGET_BYTES`]. A pipeline that buffers whole traces
+//! again (≈ 5.5 MB here) fails it.
 //!
 //! A chaos run must keep its rendered capture until its attempts finish,
-//! so chaos batches hold one run. The chaos test pins that with its own
-//! budget, [`CHAOS_BUDGET_BYTES`]: eight-run chaos batches (≈ 8.6 MB here)
-//! fail it.
+//! so a worker holds one run's text at a time. The chaos test pins that
+//! with its own budget, [`CHAOS_BUDGET_BYTES`]: holding eight runs' text
+//! at once (≈ 8.6 MB here) fails it.
 //!
 //! The allocator counts live bytes for the measuring thread only, through
 //! a const-initialised thread-local flag, so tests running in parallel in

@@ -37,11 +37,16 @@ fn stats_reflect_worker_count_but_not_persistence() {
     let ds2 = run_campaign(&reduced_config(2));
     assert_eq!(ds1.stats.workers, 1);
     assert_eq!(ds2.stats.workers, 2);
-    // The pool drains same-area batches of at most eight runs: the 127
-    // runs here form 23 of them, so no more than 23 workers get any work,
-    // however many are asked for.
-    let ds64 = run_campaign(&reduced_config(64));
-    assert_eq!(ds64.stats.workers, 23);
+    // The pool drains one job per claim, so no more workers get any work
+    // than there are jobs, however many are asked for: one run at each of
+    // A1's 25 locations and none elsewhere makes 25 jobs.
+    let ds64 = run_campaign(&CampaignConfig {
+        runs_a1: 1,
+        runs_other: 0,
+        ..reduced_config(64)
+    });
+    assert_eq!(ds64.stats.runs, 25);
+    assert_eq!(ds64.stats.workers, 25);
     assert_eq!(ds1.stats.runs, ds1.records.len());
     assert_eq!(ds1.stats.runs, ds2.stats.runs);
     assert_eq!(ds1.stats.events_processed, ds2.stats.events_processed);

@@ -152,7 +152,7 @@ fn serving_set_before(tl: &CsTimeline, t: Timestamp) -> ServingCellSet {
 ///
 /// Batch [`classify_all`] re-filters the whole event slice around every
 /// transition; this automaton instead keeps a **bounded sliding window** of
-/// condensed evidence facts (see [`Fact`] — the classification-relevant
+/// condensed evidence facts (see `Fact` — the classification-relevant
 /// residue of RRC + MM records within the last `WINDOW_MS + FWD_MS` = 20 s)
 /// and a queue of transitions still awaiting forward evidence. A transition
 /// at `t` is frozen — classified once, for good — as soon as an event later

@@ -80,14 +80,14 @@ pub fn emit_event<W: fmt::Write>(ev: &TraceEvent, out: &mut W) -> fmt::Result {
     match ev {
         TraceEvent::Rrc(rec) => emit_rrc(rec, out),
         TraceEvent::Mm { t, state } => match state {
-            MmState::Registered => writeln!(out, "{} MM5G State = REGISTERED", t.hms()),
+            MmState::Registered => writeln!(out, "{t} MM5G State = REGISTERED"),
             MmState::DeregisteredNoCellAvailable => {
-                writeln!(out, "{} MM5G State = DEREGISTERED", t.hms())?;
+                writeln!(out, "{t} MM5G State = DEREGISTERED")?;
                 writeln!(out, "  Mm5g Deregistered Substate = NO_CELL_AVAILABLE")
             }
         },
         TraceEvent::Throughput { t, mbps } => {
-            writeln!(out, "{} Throughput = {:?} Mbps", t.hms(), mbps)
+            writeln!(out, "{t} Throughput = {mbps:?} Mbps")
         }
     }
 }
@@ -126,7 +126,7 @@ fn emit_rrc<W: fmt::Write>(rec: &LogRecord, out: &mut W) -> fmt::Result {
     writeln!(
         out,
         "{} {} RRC OTA Packet -- {} / {}",
-        rec.t.hms(),
+        rec.t,
         rec.rat.label(),
         rec.channel.label(),
         message_name(rec.rat, &rec.msg),

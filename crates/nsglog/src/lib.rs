@@ -19,13 +19,13 @@
 //! | workload | parse | emit |
 //! |---|---|---|
 //! | live tail / larger-than-memory capture | [`parse_lines`] | [`emit_to`] / [`emit_io`] |
-//! | whole trace already in memory | [`parse_str`] | [`emit`] |
+//! | whole trace already in memory | [`parse_str`] | [`emit()`] |
 //!
 //! [`parse_lines`] pulls from any `Iterator<Item = &str>` and yields one
 //! `Result<TraceEvent, ParseError>` per record in constant space;
 //! [`parse_str`] simply collects it. [`emit_to`] streams records into any
 //! [`std::fmt::Write`] sink ([`emit_io`] adapts [`std::io::Write`]);
-//! [`emit`] drives it into a `String`.
+//! [`emit()`] drives it into a `String`.
 //!
 //! Both parse entry points are fail-fast. For dirty field captures
 //! (truncated records, interleaved garbage), wrap the same core in

@@ -17,7 +17,7 @@
 //! RAT inference inside lists: channel numbers below 70 000 are LTE EARFCNs,
 //! everything else is an NR-ARFCN. This discriminator is exact for every
 //! deployed US channel in the study (4G ≤ 66 936, 5G ≥ 126 270) and is the
-//! same convention [`onoff_rrc::ids::CellId::from_str`] uses.
+//! same convention [`onoff_rrc::ids::CellId`]'s `FromStr` impl uses.
 
 use onoff_rrc::events::{EventKind, MeasEvent, Threshold, TriggerQuantity};
 use onoff_rrc::ids::{CellId, GlobalCellId, Pci, Rat};

@@ -1,8 +1,8 @@
 //! Lossy parse recovery for dirty field captures.
 //!
-//! [`parse_lines`](crate::parse_lines) is fail-fast: the first malformed
-//! record fuses the iterator, which is the right default for round-trip
-//! guarantees but discards an entire capture over one truncated line.
+//! [`parse_lines`] is fail-fast: the first malformed record fuses the
+//! iterator, which is the right default for round-trip guarantees but
+//! discards an entire capture over one truncated line.
 //! [`RecoveringParser`] wraps it with a [`RecoveryPolicy`]: malformed
 //! records can be skipped (and counted per [`ParseErrorKind`]) or, on top
 //! of that, non-monotonic timestamps repaired — so a drive-test log with a
@@ -19,9 +19,8 @@ use crate::parse::{parse_lines, ParseLines};
 /// What to do when a record fails to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
-    /// Surface the first error and stop, exactly like
-    /// [`parse_lines`](crate::parse_lines). Input past the error is never
-    /// examined.
+    /// Surface the first error and stop, exactly like [`parse_lines`].
+    /// Input past the error is never examined.
     FailFast,
     /// Drop malformed records, resynchronize at the next record head, and
     /// keep going; every drop is counted in [`ParseStats`].
@@ -86,11 +85,10 @@ impl std::fmt::Display for ParseStats {
 
 /// A lossy, policy-driven wrapper over the streaming parser.
 ///
-/// Yields `Result<TraceEvent, ParseError>` like
-/// [`parse_lines`](crate::parse_lines); under the recovering policies the
-/// `Err` arm never surfaces (failures are skipped and counted), so
-/// `filter_map(Result::ok)` loses nothing that [`stats`](Self::stats)
-/// doesn't report.
+/// Yields `Result<TraceEvent, ParseError>` like [`parse_lines`]; under the
+/// recovering policies the `Err` arm never surfaces (failures are skipped
+/// and counted), so `filter_map(Result::ok)` loses nothing that
+/// [`stats`](Self::stats) doesn't report.
 ///
 /// ```
 /// use onoff_nsglog::{RecoveringParser, RecoveryPolicy};

@@ -246,8 +246,8 @@ impl BandTable {
         BandTable.band_of(earfcn).map(|r| Band::Lte(r.band))
     }
 
-    /// The NR [`Band`] containing an NR-ARFCN (priority order, see
-    /// [`NR_BANDS`] note on overlaps).
+    /// The NR [`Band`] containing an NR-ARFCN (priority order, see the
+    /// `NR_BANDS` note on overlaps).
     pub fn nr_band_of(arfcn: u32) -> Option<Band> {
         let khz = (nr_arfcn_to_freq_mhz(arfcn)? * 1000.0).round() as u64;
         NR_BANDS

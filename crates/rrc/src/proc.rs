@@ -6,7 +6,7 @@
 //! [`ProcedureTracker`] folds a message stream into [`Procedure`] records,
 //! pairing commands with their completes and flagging commands that never
 //! complete (or complete and then blow up, like S1E3's SCell modification
-//! that "ends with an RRC Reconfiguration Complete message, [but] the
+//! that "ends with an RRC Reconfiguration Complete message, \[but\] the
 //! exception occurs immediately").
 
 use serde::{Deserialize, Serialize};

@@ -50,15 +50,6 @@ impl Timestamp {
         self.0.saturating_sub(earlier.0)
     }
 
-    /// Renders as NSG wall-clock `HH:MM:SS.mmm` (capture starting at 00:00).
-    pub fn hms(self) -> String {
-        let ms = self.0 % 1000;
-        let s = (self.0 / 1000) % 60;
-        let m = (self.0 / 60_000) % 60;
-        let h = self.0 / 3_600_000;
-        format!("{h:02}:{m:02}:{s:02}.{ms:03}")
-    }
-
     /// Parses `HH:MM:SS.mmm`.
     pub fn parse_hms(s: &str) -> Option<Timestamp> {
         let mut parts = s.split(':');
@@ -78,9 +69,15 @@ impl Timestamp {
     }
 }
 
+/// Renders as NSG wall-clock `HH:MM:SS.mmm` (capture starting at 00:00),
+/// straight into the formatter.
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.hms())
+        let ms = self.0 % 1000;
+        let s = (self.0 / 1000) % 60;
+        let m = (self.0 / 60_000) % 60;
+        let h = self.0 / 3_600_000;
+        write!(f, "{h:02}:{m:02}:{s:02}.{ms:03}")
     }
 }
 
@@ -243,7 +240,11 @@ mod tests {
             19 * 3_600_000 + 43 * 60_000 + 31_635,
         ] {
             let t = Timestamp(ms);
-            assert_eq!(Timestamp::parse_hms(&t.hms()), Some(t), "failed at {ms}");
+            assert_eq!(
+                Timestamp::parse_hms(&t.to_string()),
+                Some(t),
+                "failed at {ms}"
+            );
         }
     }
 
@@ -251,7 +252,7 @@ mod tests {
     fn timestamp_hms_matches_nsg_format() {
         // 19:43:31.635 from Fig. 24.
         let t = Timestamp(19 * 3_600_000 + 43 * 60_000 + 31_635);
-        assert_eq!(t.hms(), "19:43:31.635");
+        assert_eq!(t.to_string(), "19:43:31.635");
     }
 
     #[test]

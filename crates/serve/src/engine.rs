@@ -5,9 +5,8 @@
 //! harness, and the tests all drive this same object, so wire behavior
 //! and in-process behavior cannot drift.
 //!
-//! Ingest decoding honors the configured
-//! [`RecoveryPolicy`](onoff_nsglog::RecoveryPolicy): under the lossy
-//! policies, malformed text records or corrupt store segments are dropped
+//! Ingest decoding honors the configured [`RecoveryPolicy`]: under the
+//! lossy policies, malformed text records or corrupt store segments are dropped
 //! and counted against *that session only* — the parse counters ride the
 //! session's [`SessionMeta`] and surface in its reports and the fleet
 //! totals. Under `FailFast` the whole request is refused instead.

@@ -15,9 +15,11 @@
 //! the causes it injects as hidden ground truth ([`output::GroundTruth`]) so
 //! the classifier in `onoff-detect` can be scored honestly.
 //!
-//! * [`sa::run_sa`] — 5G SA engine (OP_T): S1E1/S1E2/S1E3 dynamics.
-//! * [`nsa::run_nsa`] — 5G NSA engine (OP_A/OP_V): N1E1/N1E2/N2E1/N2E2.
-//! * [`simulate`] — dispatch on the policy's deployment mode.
+//! * [`sa`] — 5G SA engine (OP_T): S1E1/S1E2/S1E3 dynamics.
+//! * [`nsa`] — 5G NSA engine (OP_A/OP_V): N1E1/N1E2/N2E1/N2E2.
+//! * [`Stepper`] — the one run loop: steps one UE through a run on the
+//!   engine its policy's deployment mode selects.
+//! * [`simulate`] — one run from a [`SimConfig`].
 
 pub mod batch;
 pub mod chaos;
@@ -28,6 +30,7 @@ pub mod policy_tables;
 pub mod recorder;
 pub mod sa;
 pub mod select;
+pub mod stepper;
 pub mod synth;
 pub mod throughput;
 
@@ -38,27 +41,41 @@ pub use chaos::{
 };
 pub use config::{MovementPath, SimConfig};
 pub use output::{GroundTruth, InjectedCause, SimOutput};
-pub use policy_tables::{ChanFlags, PolicyTables};
+pub use policy_tables::{ChanFlags, PolicyTables, StepCtx};
+pub use stepper::Stepper;
 pub use synth::TraceBuilder;
 
-use onoff_policy::FivegMode;
+use onoff_radio::{RadioTables, Sampler, ScalarSampler, UeSampler};
 
-/// Runs one simulated measurement run, dispatching on the operator's 5G
-/// deployment mode. Uses the batched table-driven radio path; see
+use crate::recorder::Recorder;
+
+/// Runs one simulated measurement run on the table-driven radio path; see
 /// [`simulate_scalar`] for the per-call reference path.
 pub fn simulate(cfg: &SimConfig) -> SimOutput {
-    match cfg.policy.mode {
-        FivegMode::Sa => sa::run_sa(cfg),
-        FivegMode::Nsa => nsa::run_nsa(cfg),
-    }
+    let tables = RadioTables::new(&cfg.env);
+    // Fresh fast fading for this run, same shadowing structure.
+    simulate_with(cfg, UeSampler::with_salt(&tables, cfg.seed))
 }
 
 /// Runs one simulated measurement run on the scalar per-call radio path —
 /// the reference implementation [`simulate`] is checked against (exact
 /// memoization: both produce bitwise-identical output).
 pub fn simulate_scalar(cfg: &SimConfig) -> SimOutput {
-    match cfg.policy.mode {
-        FivegMode::Sa => sa::run_sa_scalar(cfg),
-        FivegMode::Nsa => nsa::run_nsa_scalar(cfg),
-    }
+    let mut cfg = cfg.clone();
+    cfg.env.fading_salt = cfg.seed;
+    simulate_with(&cfg, ScalarSampler::new(&cfg.env))
+}
+
+/// Collects one run of `cfg` measured through `sampler`.
+fn simulate_with<S: Sampler>(cfg: &SimConfig, sampler: S) -> SimOutput {
+    let ptab = PolicyTables::new(&cfg.policy);
+    let stepper = Stepper::new(
+        StepCtx::of(cfg, &ptab),
+        sampler,
+        cfg.duration_ms,
+        cfg.meas_period_ms,
+    );
+    let mut out = SimOutput::default();
+    stepper.collect_into(Recorder::new(), &mut out);
+    out
 }

@@ -14,14 +14,15 @@
 //! *failure*, by the operator's measurement-configuration cadence (OP_V:
 //! every 30 s, hence its long N2E2 OFF times).
 //!
-//! The state machine lives in [`NsaCore`], generic over [`Sampler`]: one
+//! The state machine lives in `NsaCore`, generic over [`Sampler`]: one
 //! `step` per measurement period against either the scalar per-call radio
 //! path or the table-driven memoizing path, with bitwise-identical output.
+//! [`Stepper`](crate::Stepper) runs it through a whole run.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use onoff_radio::{RadioTables, Sampler, ScalarSampler, UeSampler};
+use onoff_radio::Sampler;
 use onoff_rrc::events::{EventKind, MeasEvent, Threshold, TriggerQuantity};
 use onoff_rrc::ids::{CellId, GlobalCellId, Rat};
 use onoff_rrc::meas::Measurement;
@@ -31,9 +32,9 @@ use onoff_rrc::messages::{
 };
 use onoff_rrc::serving::ServingCellSet;
 
-use crate::config::{timing, SimConfig};
-use crate::output::{InjectedCause, SimOutput};
-use crate::policy_tables::{PolicyTables, StepCtx};
+use crate::config::timing;
+use crate::output::InjectedCause;
+use crate::policy_tables::StepCtx;
 use crate::recorder::Recorder;
 use crate::select::{co_sited_on_channel, measure_cell, strongest_cell_mean};
 use crate::throughput::sample_mbps;
@@ -108,38 +109,6 @@ impl NsaCore {
             State::Conn(conn) => step_connected(cx, s, rec, rng, t, p, conn),
         };
     }
-}
-
-/// Runs a full NSA simulation on the table-driven radio path.
-pub fn run_nsa(cfg: &SimConfig) -> SimOutput {
-    let tables = RadioTables::new(&cfg.env);
-    // Fresh fast fading for this run, same shadowing structure.
-    let mut s = UeSampler::with_salt(&tables, cfg.seed);
-    run_nsa_with(cfg, &mut s)
-}
-
-/// Runs a full NSA simulation on the scalar per-call radio path — the
-/// reference implementation the batched path is checked against.
-pub fn run_nsa_scalar(cfg: &SimConfig) -> SimOutput {
-    let mut cfg = cfg.clone();
-    cfg.env.fading_salt = cfg.seed;
-    let mut s = ScalarSampler::new(&cfg.env);
-    run_nsa_with(&cfg, &mut s)
-}
-
-fn run_nsa_with<S: Sampler>(cfg: &SimConfig, s: &mut S) -> SimOutput {
-    let ptab = PolicyTables::new(&cfg.policy);
-    let cx = StepCtx::of(cfg, &ptab);
-    let mut rec = Recorder::new();
-    rec.reserve_for(cfg.duration_ms);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x4E5A);
-    let mut core = NsaCore::new();
-    let mut t = 0u64;
-    while t < cfg.duration_ms {
-        core.step(&cx, s, &mut rng, &mut rec, t);
-        t += cfg.meas_period_ms;
-    }
-    rec.finish()
 }
 
 /// When the next post-SCG-failure measurement configuration arrives.
@@ -686,6 +655,8 @@ fn execute_handover<S: Sampler>(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::output::SimOutput;
+    use crate::{simulate, simulate_scalar};
     use onoff_policy::{op_a_policy, op_v_policy, PhoneModel};
     use onoff_radio::{CellSite, Point, RadioEnvironment};
     use onoff_rrc::ids::Pci;
@@ -737,7 +708,7 @@ mod tests {
 
     #[test]
     fn op_a_flip_flop_produces_n2e1_loop() {
-        let out = run_nsa(&cfg_a(op_a_env(17.0), 3));
+        let out = simulate(&cfg_a(op_a_env(17.0), 3));
         let n2e1 = count(&out, |c| matches!(c, InjectedCause::HandoverDropScg { .. }));
         assert!(n2e1 >= 2, "expected repeated N2E1, truth: {:?}", out.truth);
     }
@@ -746,7 +717,7 @@ mod tests {
     fn op_a_blind_switch_to_dead_cell_is_n1e2() {
         // 5145 far below the handover-failure floor: the blind switch the
         // 5815 policy commands cannot complete.
-        let out = run_nsa(&cfg_a(op_a_env(-40.0), 3));
+        let out = simulate(&cfg_a(op_a_env(-40.0), 3));
         let n1e2 = count(&out, |c| matches!(c, InjectedCause::HandoverFailure { .. }));
         assert!(n1e2 >= 1, "truth: {:?}", out.truth);
     }
@@ -755,7 +726,7 @@ mod tests {
     fn op_a_blind_switch_to_weak_cell_causes_rlf() {
         // 5145 just above the handover floor but under the RLF floor:
         // the UE arrives, then loses the radio link (N1E1).
-        let out = run_nsa(&cfg_a(op_a_env(-30.0), 3));
+        let out = simulate(&cfg_a(op_a_env(-30.0), 3));
         let n1e1 = count(&out, |c| matches!(c, InjectedCause::PcellRlf { .. }));
         assert!(n1e1 >= 1, "truth: {:?}", out.truth);
     }
@@ -764,7 +735,7 @@ mod tests {
     fn scalar_path_matches_tables_path() {
         for seed in [3, 8] {
             let cfg = cfg_a(op_a_env(17.0), seed);
-            assert_eq!(run_nsa(&cfg), run_nsa_scalar(&cfg));
+            assert_eq!(simulate(&cfg), simulate_scalar(&cfg));
         }
     }
 
@@ -797,7 +768,7 @@ mod tests {
                 14,
             )
         };
-        let out = run_nsa(&cfg);
+        let out = simulate(&cfg);
         let n2e1 = count(&out, |c| matches!(c, InjectedCause::HandoverDropScg { .. }));
         assert!(n2e1 >= 1, "truth: {:?}", out.truth);
     }
@@ -828,7 +799,7 @@ mod tests {
                 3,
             )
         };
-        let out = run_nsa(&cfg);
+        let out = simulate(&cfg);
         let n2e2 = count(&out, |c| matches!(c, InjectedCause::ScgRaFailure { .. }));
         assert!(n2e2 >= 1, "truth: {:?}", out.truth);
         // After each SCG failure, no B1 report before the next 30 s grid
@@ -869,7 +840,7 @@ mod tests {
                 3,
             )
         };
-        let out = run_nsa(&cfg);
+        let out = simulate(&cfg);
         assert!(out.truth.is_empty(), "truth: {:?}", out.truth);
         // It still gets (4G) data service.
         let moving = out
@@ -882,14 +853,14 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = run_nsa(&cfg_a(op_a_env(17.0), 8));
-        let b = run_nsa(&cfg_a(op_a_env(17.0), 8));
+        let a = simulate(&cfg_a(op_a_env(17.0), 8));
+        let b = simulate(&cfg_a(op_a_env(17.0), 8));
         assert_eq!(a, b);
     }
 
     #[test]
     fn trace_round_trips_through_nsglog() {
-        let out = run_nsa(&cfg_a(op_a_env(17.0), 3));
+        let out = simulate(&cfg_a(op_a_env(17.0), 3));
         let parsed = onoff_nsglog::parse_str(&out.to_log()).unwrap();
         assert_eq!(parsed.len(), out.events.len());
     }

@@ -78,8 +78,8 @@ impl PolicyTables {
 }
 
 /// Everything one engine step needs besides the sampler and the RNG.
-/// Borrowed, so a batch of UEs can share one policy/device/tables set while
-/// giving each UE its own path and seed.
+/// Borrowed, so the runs of one area share one policy/device/tables set
+/// while each run has its own path and seed.
 pub struct StepCtx<'a> {
     /// The operator's channel plan and thresholds.
     pub policy: &'a OperatorPolicy,

@@ -15,16 +15,17 @@
 //! the UE idles ~10 s, re-selects the same PCell (conditions unchanged) and
 //! the loop repeats.
 //!
-//! The state machine lives in [`SaCore`], generic over [`Sampler`]: one
+//! The state machine lives in `SaCore`, generic over [`Sampler`]: one
 //! `step` per measurement period against either the scalar per-call radio
 //! path or the table-driven memoizing path, with bitwise-identical output.
+//! [`Stepper`](crate::Stepper) runs it through a whole run.
 
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use onoff_radio::{RadioTables, Sampler, ScalarSampler, UeSampler};
+use onoff_radio::Sampler;
 use onoff_rrc::band::{Band, BandTable};
 use onoff_rrc::events::{EventKind, MeasEvent, Threshold, TriggerQuantity};
 use onoff_rrc::ids::{CellId, GlobalCellId, Rat};
@@ -32,9 +33,9 @@ use onoff_rrc::meas::Measurement;
 use onoff_rrc::messages::{MeasResult, ReconfigBody, RrcMessage, ScellAddMod};
 use onoff_rrc::serving::ServingCellSet;
 
-use crate::config::{timing, SimConfig};
-use crate::output::{InjectedCause, SimOutput};
-use crate::policy_tables::{PolicyTables, StepCtx};
+use crate::config::timing;
+use crate::output::InjectedCause;
+use crate::policy_tables::StepCtx;
 use crate::recorder::Recorder;
 use crate::select::{co_channel_candidates_into, strongest_cell_mean};
 use crate::throughput::sample_mbps;
@@ -68,8 +69,8 @@ struct Conn {
 }
 
 /// Reusable measurement-sweep buffers: cleared and refilled every step, so
-/// the steady-state connected sweep allocates nothing. Living on [`SaCore`],
-/// the capacity also survives across pooled runs.
+/// the steady-state connected sweep allocates nothing. They live on
+/// [`SaCore`], which every run builds afresh, so they grow once per run.
 #[derive(Default)]
 struct SweepScratch {
     serving: Vec<CellId>,
@@ -141,38 +142,6 @@ impl SaCore {
             State::Conn(conn) => step_connected(cx, s, rec, rng, t, p, conn, &mut self.scratch),
         };
     }
-}
-
-/// Runs a full SA simulation on the table-driven radio path.
-pub fn run_sa(cfg: &SimConfig) -> SimOutput {
-    let tables = RadioTables::new(&cfg.env);
-    // Fresh fast fading for this run, same shadowing structure.
-    let mut s = UeSampler::with_salt(&tables, cfg.seed);
-    run_sa_with(cfg, &mut s)
-}
-
-/// Runs a full SA simulation on the scalar per-call radio path — the
-/// reference implementation the batched path is checked against.
-pub fn run_sa_scalar(cfg: &SimConfig) -> SimOutput {
-    let mut cfg = cfg.clone();
-    cfg.env.fading_salt = cfg.seed;
-    let mut s = ScalarSampler::new(&cfg.env);
-    run_sa_with(&cfg, &mut s)
-}
-
-fn run_sa_with<S: Sampler>(cfg: &SimConfig, s: &mut S) -> SimOutput {
-    let ptab = PolicyTables::new(&cfg.policy);
-    let cx = StepCtx::of(cfg, &ptab);
-    let mut rec = Recorder::new();
-    rec.reserve_for(cfg.duration_ms);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut core = SaCore::new();
-    let mut t = 0u64;
-    while t < cfg.duration_ms {
-        core.step(&cx, s, &mut rng, &mut rec, t);
-        t += cfg.meas_period_ms;
-    }
-    rec.finish()
 }
 
 /// Whether a channel may host the SA PCell: the operator anchors SA on its
@@ -605,6 +574,8 @@ fn idle_after_collapse(rng: &mut StdRng, t: u64) -> State {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::output::SimOutput;
+    use crate::{simulate, simulate_scalar};
     use onoff_policy::{op_t_policy, PhoneModel};
     use onoff_radio::{CellSite, Point, RadioEnvironment};
     use onoff_rrc::ids::Pci;
@@ -674,7 +645,7 @@ mod tests {
 
     #[test]
     fn produces_repeating_s1e3_loop_at_p16() {
-        let out = run_sa(&cfg(11));
+        let out = simulate(&cfg(11));
         assert!(
             count_s1e3(&out) >= 2,
             "expected a repeating S1E3 loop, truth: {:?}",
@@ -684,23 +655,23 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = run_sa(&cfg(5));
-        let b = run_sa(&cfg(5));
+        let a = simulate(&cfg(5));
+        let b = simulate(&cfg(5));
         assert_eq!(a, b);
-        let c = run_sa(&cfg(6));
+        let c = simulate(&cfg(6));
         assert_ne!(a.events, c.events);
     }
 
     #[test]
     fn scalar_path_matches_tables_path() {
         for seed in [3, 11] {
-            assert_eq!(run_sa(&cfg(seed)), run_sa_scalar(&cfg(seed)));
+            assert_eq!(simulate(&cfg(seed)), simulate_scalar(&cfg(seed)));
         }
     }
 
     #[test]
     fn trace_is_time_ordered_and_parses() {
-        let out = run_sa(&cfg(3));
+        let out = simulate(&cfg(3));
         let mut last = 0;
         for e in &out.events {
             assert!(e.t().millis() >= last);
@@ -713,7 +684,7 @@ mod tests {
 
     #[test]
     fn throughput_drops_to_zero_during_off() {
-        let out = run_sa(&cfg(11));
+        let out = simulate(&cfg(11));
         let tps: Vec<f64> = out
             .events
             .iter()
@@ -737,7 +708,7 @@ mod tests {
         // Pixel 5 / OnePlus 10 Pro: no SCells ⇒ no S1 triggers (F6 case 1).
         let mut c = cfg(11);
         c.device = PhoneModel::Pixel5.profile();
-        let out = run_sa(&c);
+        let out = simulate(&c);
         assert!(out.truth.is_empty(), "truth: {:?}", out.truth);
     }
 
@@ -746,7 +717,7 @@ mod tests {
         // OnePlus 13R: skips the problematic n25 SCells (F6 case 2).
         let mut c = cfg(11);
         c.device = PhoneModel::OnePlus13R.profile();
-        let out = run_sa(&c);
+        let out = simulate(&c);
         assert!(out.truth.is_empty(), "truth: {:?}", out.truth);
         // It still connects and reaches high speed.
         let fast = out
@@ -763,7 +734,7 @@ mod tests {
         // this location: it gets added but never appears in reports.
         let mut c = cfg(11);
         c.env = with_bad_apple_power(p16_env(7), -30.0);
-        let out = run_sa(&c);
+        let out = simulate(&c);
         let s1e1 = out
             .truth
             .iter()
@@ -780,7 +751,7 @@ mod tests {
         // releases everything (S1E2).
         let mut c = cfg(11);
         c.env = with_bad_apple_power(p16_env(7), -17.0);
-        let out = run_sa(&c);
+        let out = simulate(&c);
         let s1e2 = out
             .truth
             .iter()

@@ -1,9 +1,10 @@
 //! Cell-selection helpers shared by the SA and NSA engines.
 //!
 //! All helpers are generic over [`Sampler`], so the engines run against
-//! either the scalar per-call environment path ([`ScalarSampler`]) or the
-//! table-driven memoizing path ([`onoff_radio::UeSampler`]) — both produce
-//! bitwise-identical selections.
+//! either the scalar per-call environment path
+//! ([`onoff_radio::ScalarSampler`]) or the table-driven memoizing path
+//! ([`onoff_radio::UeSampler`]) — both produce bitwise-identical
+//! selections.
 //!
 //! Ties in RSRP are broken by the smaller [`CellId`]: selection depends on
 //! signal structure, never on the order cells appear in a config file.

@@ -1,9 +1,9 @@
 //! Allocation-budget regression test for the pooled batch sim pipeline.
 //!
-//! A steady-state `UeBatch` cycle — pooled recorders in, `run_into` over
-//! recycled `outs`, recorders back to the pool — reuses every buffer it
-//! touches: recorder event/truth storage, `SimOutput` vectors, sweep
-//! scratch, and the spare heap buffers behind spilled measurement reports
+//! A steady-state `UeBatch` cycle — pooled recorders in, `run_into`
+//! looping `Stepper::collect_into` over recycled `outs`, recorders back to
+//! the pool — reuses the recorder event/truth storage, the `SimOutput`
+//! vectors, and the spare heap buffers behind spilled measurement reports
 //! (DESIGN.md §16). This test pins the budget with a counting global
 //! allocator so a stray per-step `collect()` or per-run rebuild fails CI
 //! before it erodes the `sim-step` perf-snapshot numbers.

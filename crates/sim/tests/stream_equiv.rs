@@ -1,7 +1,7 @@
-//! Streamed ≡ collected: `UeBatch::stream` hands each UE's events out
-//! after every step, as soon as no later step can precede them, and the
-//! per-UE sequence it produces must equal `simulate(cfg).events` bitwise
-//! — the order a stable sort of the whole trace gives.
+//! Streamed ≡ collected: `Stepper::stream` hands a UE's events out after
+//! every step, as soon as no later step can precede them, and the
+//! sequence it produces must equal `simulate(cfg).events` bitwise — the
+//! order a stable sort of the whole trace gives.
 //!
 //! This pins the horizon invariant the per-step flush relies on: a step
 //! at `t` records nothing at or below the previous step's time. The
@@ -14,12 +14,12 @@
 //! recorded at or below a flushed horizon.
 
 use onoff_policy::{op_a_policy, op_t_policy, op_v_policy, OperatorPolicy, PhoneModel};
-use onoff_radio::{CellSite, Point, RadioEnvironment, RadioTables};
+use onoff_radio::{CellSite, Point, RadioEnvironment, RadioTables, UeSampler};
 use onoff_rrc::ids::{CellId, Pci, Rat};
 use onoff_rrc::messages::RrcMessage;
 use onoff_rrc::trace::TraceEvent;
 use onoff_sim::recorder::Recorder;
-use onoff_sim::{simulate, MovementPath, SimConfig, UeBatch};
+use onoff_sim::{simulate, MovementPath, PolicyTables, SimConfig, StepCtx, Stepper};
 use proptest::prelude::*;
 
 const PERIODS_MS: [u64; 5] = [100, 250, 500, 1000, 2000];
@@ -67,7 +67,8 @@ fn same_bits(a: &[TraceEvent], b: &[TraceEvent]) -> bool {
         })
 }
 
-/// Streams one batch and returns each UE's events in arrival order.
+/// Streams each UE through its own stepper, recording into recorders
+/// from `pool`, and returns each UE's events in arrival order.
 fn streamed(
     policy: &OperatorPolicy,
     env: &RadioEnvironment,
@@ -78,16 +79,28 @@ fn streamed(
 ) -> Vec<Vec<TraceEvent>> {
     let device = PhoneModel::OnePlus12R.profile();
     let tables = RadioTables::new(env);
-    let mut batch = UeBatch::new(policy, &device, &tables, duration_ms, period_ms);
+    let ptab = PolicyTables::new(policy);
+    let mut per_ue = Vec::new();
     for (i, &seed) in seeds.iter().enumerate() {
-        batch.push_with_recorder(
-            MovementPath::Stationary(location(i)),
+        let path = MovementPath::Stationary(location(i));
+        let cx = StepCtx {
+            policy,
+            device: &device,
+            path: &path,
+            ptab: &ptab,
             seed,
-            pool.pop().unwrap_or_default(),
+        };
+        let stepper = Stepper::new(
+            cx,
+            UeSampler::with_salt(&tables, seed),
+            duration_ms,
+            period_ms,
         );
+        let mut events = Vec::new();
+        let rec = pool.pop().unwrap_or_default();
+        pool.push(stepper.stream(rec, |ev| events.push(ev.clone())));
+        per_ue.push(events);
     }
-    let mut per_ue = vec![Vec::new(); seeds.len()];
-    batch.stream(pool, |i, ev| per_ue[i].push(ev.clone()));
     per_ue
 }
 

@@ -18,9 +18,8 @@
 //! segment blobs, back to back
 //! ```
 //!
-//! Each segment holds up to
-//! [`DEFAULT_SEGMENT_RECORDS`](encode::DEFAULT_SEGMENT_RECORDS) events as
-//! seven independently-checksummed columns: delta-encoded timestamps, tag
+//! Each segment holds up to [`DEFAULT_SEGMENT_RECORDS`] events as seven
+//! independently-checksummed columns: delta-encoded timestamps, tag
 //! bytes, RRC head bytes, dictionary-interned cell references,
 //! measurement rows (interned cell index plus fixed-width `i16` deci
 //! values, with a varint escape for out-of-range readings), miscellaneous

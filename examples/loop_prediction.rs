@@ -6,12 +6,12 @@
 //! cargo run --release --example loop_prediction
 //! ```
 
+use fiveg_onoff::predict::{error_stats, train_s1e3};
 use onoff_analysis::spearman;
 use onoff_campaign::areas::area_a1;
 use onoff_campaign::fine::{fine_grained_study, location_features};
 use onoff_campaign::run_location;
 use onoff_policy::{op_t_policy, PhoneModel};
-use onoff_predict::{error_stats, train_s1e3};
 
 fn main() {
     let area = area_a1(0x050FF);

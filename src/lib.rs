@@ -40,6 +40,7 @@ pub use onoff_core as core;
 pub use onoff_detect as detect;
 pub use onoff_nsglog as nsglog;
 pub use onoff_policy as policy;
+pub use onoff_predict as predict;
 pub use onoff_radio as radio;
 pub use onoff_rrc as rrc;
 pub use onoff_sim as sim;
