@@ -362,7 +362,8 @@ impl Dataset {
             if r.problem_channel_rsrp.is_empty() {
                 continue;
             }
-            if let Some(p10) = onoff_analysis::quantile(&r.problem_channel_rsrp, 0.10) {
+            let dbm: Vec<f64> = r.problem_channel_rsrp.dbm().collect();
+            if let Some(p10) = onoff_analysis::quantile(&dbm, 0.10) {
                 out.entry(r.area.clone()).or_default().push(p10);
             }
         }
@@ -374,7 +375,8 @@ impl Dataset {
     pub fn problem_rsrp_by_type(&self, op: Operator) -> BTreeMap<String, Vec<f64>> {
         let mut out: BTreeMap<String, Vec<f64>> = BTreeMap::new();
         for r in self.by_operator(op) {
-            let Some(med) = onoff_analysis::median(&r.problem_channel_rsrp) else {
+            let dbm: Vec<f64> = r.problem_channel_rsrp.dbm().collect();
+            let Some(med) = onoff_analysis::median(&dbm) else {
                 continue;
             };
             let key = if r.has_loop {
@@ -441,6 +443,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::RsrpSamples;
     use onoff_detect::metrics::CycleStat;
     use onoff_policy::PhoneModel;
 
@@ -484,7 +487,7 @@ mod tests {
             unique_cs: 4,
             cs_samples: 10,
             meas_results: 500,
-            problem_channel_rsrp: vec![-85.0, -90.0, -100.0],
+            problem_channel_rsrp: RsrpSamples(vec![-850, -900, -1000]),
             scg_meas_delays_ms: Vec::new(),
             scored_reports: 300,
             predicted_loop_prob: Some(if has_loop { 0.8 } else { 0.1 }),

@@ -31,7 +31,7 @@ pub use persist::{
     absorb_store_loss, load_json, load_trace, reanalyze_trace, save_json, save_trace,
 };
 pub use quarantine::{ChaosOptions, QuarantineReport, QuarantinedRun};
-pub use record::{scoring_config_for, RunRecord};
+pub use record::{scoring_config_for, RsrpSamples, RunRecord};
 pub use runs::{
     run_campaign, run_location, run_location_with_policy, CampaignConfig, ParallelismConfig,
 };

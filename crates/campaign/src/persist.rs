@@ -78,7 +78,7 @@ pub fn absorb_store_loss(report: &mut QuarantineReport, stats: &StoreStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RunRecord;
+    use crate::record::{RsrpSamples, RunRecord};
     use onoff_policy::{Operator, PhoneModel};
 
     fn tiny() -> Dataset {
@@ -100,7 +100,7 @@ mod tests {
                 unique_cs: 5,
                 cs_samples: 40,
                 meas_results: 1234,
-                problem_channel_rsrp: vec![-85.0, -90.5],
+                problem_channel_rsrp: RsrpSamples(vec![-850, -905]),
                 scg_meas_delays_ms: Vec::new(),
                 scored_reports: 250,
                 predicted_loop_prob: Some(0.62),
@@ -117,14 +117,14 @@ mod tests {
         let path = dir.join("ds.json");
         let ds = tiny();
         save_json(&ds, &path).unwrap();
+        let saved = std::fs::read_to_string(&path).unwrap();
         let back = load_json(&path).unwrap();
-        assert_eq!(back.records.len(), 1);
-        assert_eq!(back.records[0].seed, 42);
-        assert_eq!(
-            back.records[0].loop_type,
-            Some(onoff_detect::LoopType::S1E3)
-        );
+        // Whole records, so a lossy column cannot pass: the −90.5 dBm
+        // sample sits on the 0.1 dB grid and must come back exactly.
+        assert_eq!(back.records, ds.records);
         assert_eq!(back.areas, ds.areas);
+        save_json(&back, &path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), saved);
         std::fs::remove_file(&path).ok();
     }
 

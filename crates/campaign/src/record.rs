@@ -1,11 +1,12 @@
 //! Per-run records — the dataset's unit.
 
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Number, Serialize, Value};
 
 use onoff_detect::metrics::CycleStat;
 use onoff_detect::{LoopType, Persistence, PredictionReport, RunAnalysis, ScoringConfig};
 use onoff_policy::{Operator, OperatorPolicy, PhoneModel};
 use onoff_rrc::ids::Rat;
+use onoff_rrc::meas::Rsrp;
 use onoff_rrc::messages::{RrcMessage, Trigger};
 use onoff_rrc::trace::TraceEvent;
 use onoff_sim::SimOutput;
@@ -46,9 +47,9 @@ pub struct RunRecord {
     pub cs_samples: usize,
     /// RSRP/RSRQ measurement results seen in reports (Table 3's "# RSRP/RSRQ").
     pub meas_results: u64,
-    /// RSRP samples (dBm) of cells on the operator's problematic channel,
+    /// RSRP samples of cells on the operator's problematic channel,
     /// harvested from measurement reports (Fig. 17).
-    pub problem_channel_rsrp: Vec<f64>,
+    pub problem_channel_rsrp: RsrpSamples,
     /// N2E2 recovery delays: SCG release → next B1 report, ms (Fig. 19c).
     pub scg_meas_delays_ms: Vec<u64>,
     /// Measurement reports scored by the fused online predictor (§6).
@@ -59,6 +60,83 @@ pub struct RunRecord {
     /// report was scored.
     #[serde(default)]
     pub predicted_loop_prob: Option<f64>,
+}
+
+/// A run's problem-channel RSRP samples, each held as its exact deci-dBm
+/// integer in two bytes. Reportable RSRP (TS 38.133: −156..−31 dBm) and
+/// every value the simulator produces fit an `i16`.
+///
+/// Serializes as an array of dBm numbers, each the `f64` [`Rsrp::db`]
+/// gives for the sample, so persisted datasets read as they did when the
+/// column held `f64`s. Deserializing accepts a number only if it is
+/// bitwise such a value for some `i16` (−3276.8..=3276.7 dBm on the 0.1 dB
+/// grid); an off-grid number, `null` or a string is an error.
+///
+/// The record fold saturates a sample outside that range to its nearest
+/// end rather than wrapping it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RsrpSamples(pub(crate) Vec<i16>);
+
+impl RsrpSamples {
+    /// The samples in dBm, in report order.
+    pub fn dbm(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.0.iter().map(|&d| deci_dbm(d))
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the run reported no problem-channel cell.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// A sample's dBm value: bit for bit what [`Rsrp::db`] returns for it.
+fn deci_dbm(d: i16) -> f64 {
+    Rsrp::from_deci(i32::from(d)).db()
+}
+
+impl Serialize for RsrpSamples {
+    fn to_value(&self) -> Value {
+        Value::Array(
+            self.dbm()
+                .map(|x| Value::Number(Number::from_f64(x)))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for RsrpSamples {
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        let Value::Array(items) = v else {
+            return Err(de::Error::invalid_type("array (problem_channel_rsrp)", v));
+        };
+        items
+            .iter()
+            .map(|item| {
+                let x = item.as_f64().ok_or_else(|| {
+                    de::Error::invalid_type("number (problem_channel_rsrp sample)", item)
+                })?;
+                // `x * 10` rounds to the one candidate; the bitwise check
+                // then rejects anything `Rsrp::db` cannot produce.
+                let d = (x * 10.0).round();
+                if (f64::from(i16::MIN)..=f64::from(i16::MAX)).contains(&d)
+                    && deci_dbm(d as i16).to_bits() == x.to_bits()
+                {
+                    Ok(d as i16)
+                } else {
+                    Err(de::Error::custom(format!(
+                        "problem_channel_rsrp: {x:?} is not an RSRP on the 0.1 dB grid \
+                         within -3276.8..=3276.7 dBm"
+                    )))
+                }
+            })
+            .collect::<Result<Vec<i16>, _>>()
+            .map(RsrpSamples)
+    }
 }
 
 /// The "problematic channel" under study per operator (F14).
@@ -127,7 +205,7 @@ pub(crate) struct RecordFold {
     operator: Operator,
     last_t: u64,
     meas_results: u64,
-    problem_channel_rsrp: Vec<f64>,
+    problem_channel_rsrp: Vec<i16>,
     scg_meas_delays_ms: Vec<u64>,
     scg_released_at: Option<u64>,
 }
@@ -168,7 +246,10 @@ impl RecordFold {
                 );
                 for m in &r.results {
                     if m.cell.arfcn == ch && m.cell.rat == rat {
-                        self.problem_channel_rsrp.push(m.meas.rsrp.db());
+                        // Saturates, as `RsrpSamples` documents.
+                        let deci = m.meas.rsrp.deci();
+                        self.problem_channel_rsrp
+                            .push(deci.clamp(i16::MIN.into(), i16::MAX.into()) as i16);
                     }
                 }
                 if r.trigger == Some(Trigger::B1) {
@@ -226,7 +307,7 @@ impl RecordFold {
             unique_cs: analysis.timeline.unique_sets(),
             cs_samples: analysis.timeline.samples.len(),
             meas_results: self.meas_results,
-            problem_channel_rsrp: self.problem_channel_rsrp.to_vec(),
+            problem_channel_rsrp: RsrpSamples(self.problem_channel_rsrp.to_vec()),
             scg_meas_delays_ms: self.scg_meas_delays_ms.to_vec(),
             scored_reports: predictions.scored,
             predicted_loop_prob: predictions.session_mean,
@@ -249,6 +330,77 @@ mod tests {
         assert!(cfg.pcell_arfcns.iter().all(|&a| a != 387410));
         let nsa = scoring_config_for(Operator::OpA, &policy_for(Operator::OpA));
         assert_eq!(nsa.problem_arfcn, 5815);
+    }
+
+    #[test]
+    fn rsrp_samples_serialize_as_the_f64_column_did() {
+        let decis: Vec<i16> = (-1560..=-310).chain([i16::MIN, i16::MAX]).collect();
+        let samples = RsrpSamples(decis.clone());
+        let column: Vec<f64> = decis
+            .iter()
+            .map(|&d| Rsrp::from_deci(i32::from(d)).db())
+            .collect();
+        let json = serde_json::to_string(&samples).unwrap();
+        assert_eq!(json, serde_json::to_string(&column).unwrap());
+        assert_eq!(
+            serde_json::to_string_pretty(&samples).unwrap(),
+            serde_json::to_string_pretty(&column).unwrap()
+        );
+        let back: RsrpSamples = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, samples);
+        assert!(samples
+            .dbm()
+            .map(f64::to_bits)
+            .eq(column.iter().map(|x| x.to_bits())));
+        assert_eq!(samples.len(), decis.len());
+    }
+
+    #[test]
+    fn rsrp_samples_reject_what_the_column_cannot_hold() {
+        for bad in [
+            "[-90.55]",
+            "[null]",
+            "[\"-85.0\"]",
+            "[4000.0]",
+            "[-3276.9]",
+            "{}",
+        ] {
+            let err = serde_json::from_str::<RsrpSamples>(bad)
+                .expect_err(bad)
+                .to_string();
+            assert!(err.contains("problem_channel_rsrp"), "{bad}: {err}");
+        }
+        let edges: RsrpSamples = serde_json::from_str("[-3276.8, 3276.7, -85, 0]").unwrap();
+        assert_eq!(edges.0, [i16::MIN, i16::MAX, -850, 0]);
+    }
+
+    #[test]
+    fn fold_saturates_rsrp_outside_the_i16_range() {
+        use onoff_rrc::ids::{CellId, Pci};
+        let problem = CellId::nr(Pci(273), 387410);
+        let events = onoff_sim::TraceBuilder::new()
+            .report(
+                Some("A2"),
+                &[
+                    (problem, 4000.0, -10.0),
+                    (problem, -4000.0, -10.0),
+                    (problem, 3276.7, -10.0),
+                    (problem, -90.5, -10.0),
+                    (CellId::nr(Pci(393), 521310), -80.0, -10.0),
+                ],
+            )
+            .build();
+        let mut fold = RecordFold::new(Operator::OpT);
+        for ev in &events {
+            fold.feed(ev);
+        }
+        assert_eq!(
+            fold.problem_channel_rsrp,
+            [i16::MAX, i16::MIN, i16::MAX, -905]
+        );
+        let samples = RsrpSamples(fold.problem_channel_rsrp.clone());
+        let dbm: Vec<f64> = samples.dbm().collect();
+        assert_eq!(dbm, [3276.7, -3276.8, 3276.7, -90.5]);
     }
 
     #[test]

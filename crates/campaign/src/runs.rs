@@ -219,16 +219,18 @@ impl<'a> AreaTables<'a> {
 ///
 /// One instance lives for a worker's whole drain: one `RunSlot`, built at
 /// the worker's first run and reset for every later one, one recorder,
-/// and the chaos stage's parse buffer. The recorder only holds the events
-/// of the run's last step or so, and the slot only its analyzer's state,
-/// so a clean worker's footprint does not grow with trace length
-/// (DESIGN.md §16). In chaos mode the slot also keeps the run's rendered
-/// text until the run's attempts finish.
+/// and the chaos stage's dirty-text and parse buffers. The recorder only
+/// holds the events of the run's last step or so, and the slot only its
+/// analyzer's state, so a clean worker's footprint does not grow with
+/// trace length (DESIGN.md §16). In chaos mode the slot also keeps the
+/// run's rendered text until the run's attempts finish, and the two
+/// chaos buffers settle at the largest capture the worker has seen.
 #[derive(Default)]
 struct RunScratch {
     slot: Option<RunSlot>,
     rec: Recorder,
     parsed: Vec<TraceEvent>,
+    dirty: String,
 }
 
 /// The consumer of a run: the fused analyzer (scoring on) plus the record
@@ -300,21 +302,22 @@ impl RunSlot {
     }
 
     /// The chaos stage over the slot's rendered text. Up to
-    /// `max_attempts` times, corrupts the text with the attempt's chaos
-    /// seed, re-parses it lossily into `parsed`, and — when the loss stays
-    /// in bounds — analyzes the surviving events. Returns the first
-    /// accepted attempt's parse stats, record and analysis, or the last
-    /// attempt's failure reason (excessive loss, or a panic in these
-    /// stages).
+    /// `max_attempts` times, corrupts the text into `dirty` with the
+    /// attempt's chaos seed, re-parses it lossily into `parsed`, and —
+    /// when the loss stays in bounds — analyzes the surviving events.
+    /// Returns the first accepted attempt's parse stats, record and
+    /// analysis, or the last attempt's failure reason (excessive loss, or
+    /// a panic in these stages).
     fn run_chaos(
         &mut self,
-        area: &Area,
-        policy: &OperatorPolicy,
+        shared: &AreaTables<'_>,
         job: &Job,
         device: PhoneModel,
         opts: &ChaosOptions,
         parsed: &mut Vec<TraceEvent>,
+        dirty: &mut String,
     ) -> Result<(ParseStats, RunRecord, RunAnalysis), String> {
+        let (area, policy) = (shared.area, &shared.policy);
         // Whether the job is poisoned doesn't change between attempts, so
         // the chaos config is picked (and the destroy config materialized)
         // once per job, then borrowed by every attempt.
@@ -339,9 +342,9 @@ impl RunSlot {
             // Fresh fault pattern per attempt, reproducible from the job.
             let chaos_seed = hash_words(&[job.seed, u64::from(attempt), 0xC4A05]);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let dirty =
-                    ChaosEngine::new(chaos_cfg.clone(), chaos_seed).corrupt_text(&self.text);
-                let stats = parse_str_lossy_into(&dirty, opts.policy, parsed);
+                ChaosEngine::new(chaos_cfg.clone(), chaos_seed)
+                    .corrupt_text_into(&self.text, dirty);
+                let stats = parse_str_lossy_into(dirty, opts.policy, parsed);
                 if stats.loss_ratio() > opts.max_loss_ratio {
                     return Err(format!(
                         "loss ratio {:.2} exceeds {:.2}",
@@ -422,7 +425,12 @@ impl Aggregates {
         scratch: &mut RunScratch,
     ) {
         let (area, policy) = (shared.area, &shared.policy);
-        let RunScratch { slot, rec, parsed } = scratch;
+        let RunScratch {
+            slot,
+            rec,
+            parsed,
+            dirty,
+        } = scratch;
         let slot = slot.get_or_insert_with(|| RunSlot::new(area.operator, policy));
         let path = MovementPath::Stationary(area.locations[job.location]);
         let stepper = shared.stepper(device, &path, job.seed, cfg.duration_ms);
@@ -439,7 +447,7 @@ impl Aggregates {
                 *rec = stepper.stream(std::mem::take(rec), |ev| {
                     emit_event(ev, &mut slot.text).expect("fmt::Write to a String is infallible")
                 });
-                match slot.run_chaos(area, policy, job, cfg.device, opts, parsed) {
+                match slot.run_chaos(shared, job, cfg.device, opts, parsed, dirty) {
                     Ok((stats, record, analysis)) => {
                         self.quarantine.records_lost += stats.skipped;
                         self.quarantine.timestamps_repaired += stats.timestamps_repaired;
@@ -552,7 +560,7 @@ fn enumerate_jobs(areas: &[Area], cfg: &CampaignConfig) -> Vec<Job> {
 ///
 /// Each worker also owns one [`RunScratch`], threaded through every
 /// `absorb` call it makes, so the pipeline reuses its recorder, slot and
-/// parse buffer across all jobs a worker drains. Scratch never crosses
+/// chaos buffers across all jobs a worker drains. Scratch never crosses
 /// workers and never outlives the drain, so (given reset-safe reuse, see
 /// DESIGN.md §16) it cannot affect the merged result.
 fn drain_shards(

@@ -304,7 +304,17 @@ impl ChaosEngine {
 
     /// Corrupts raw NSG text line by line.
     pub fn corrupt_text(&mut self, text: &str) -> String {
-        let mut out = String::with_capacity(text.len());
+        let mut out = String::new();
+        self.corrupt_text_into(text, &mut out);
+        out
+    }
+
+    /// [`corrupt_text`](Self::corrupt_text) into a caller-owned buffer:
+    /// clears `out`, then writes the dirty text into it, so a buffer
+    /// reused across captures stops growing once it has held the largest.
+    pub fn corrupt_text_into(&mut self, text: &str, out: &mut String) {
+        out.clear();
+        out.reserve(text.len());
         for (i, line) in text.lines().enumerate() {
             if self.draw(self.cfg.garbage_line) {
                 let pick = self.rng.random_range(0..GARBAGE_POOL.len());
@@ -337,7 +347,6 @@ impl ChaosEngine {
             }
             out.push('\n');
         }
-        out
     }
 
     /// Corrupts an event stream: duplication, persistent clock skew
@@ -697,6 +706,21 @@ mod tests {
         assert_eq!(a.lines().count(), 2 * text.lines().count());
         assert_eq!(ma.summary()["garbage-line"], 3);
         assert_eq!(ma.summary()["truncated-line"], 3);
+    }
+
+    #[test]
+    fn text_corruption_into_a_reused_buffer_matches_a_fresh_one() {
+        let text = "00:00:01.000 MM5G State = REGISTERED\n\
+                    00:00:02.000 Throughput = 1.5 Mbps\n\
+                    00:00:03.000 Throughput = 2.5 Mbps\n";
+        let mut out = "stale text from an earlier capture\n".repeat(8);
+        for (cfg, seed) in [(ChaosConfig::destroy(), 1), (ChaosConfig::default(), 2)] {
+            let (fresh, manifest) = chaos_text(text, &cfg, seed);
+            let mut engine = ChaosEngine::new(cfg, seed);
+            engine.corrupt_text_into(text, &mut out);
+            assert_eq!(out, fresh);
+            assert_eq!(engine.into_manifest(), manifest);
+        }
     }
 
     fn sample_frames() -> Vec<Vec<u8>> {
