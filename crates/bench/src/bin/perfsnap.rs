@@ -46,7 +46,10 @@
 //! windows on shared machines.
 //!
 //! The snapshot schema (`perfsnap/v2`) is one JSON object with a
-//! `workloads` array; each entry carries `events`, `bytes`, `wall_ms`,
+//! `machine` block (the CPU model `/proc/cpuinfo` names and
+//! `available_parallelism`: wall numbers compare only between snapshots
+//! of one machine; `--check` does not read it) and a `workloads` array;
+//! each entry carries `events`, `bytes`, `wall_ms`,
 //! `events_per_sec`, `bytes_per_sec`, `allocs`, `allocs_per_event`,
 //! `repetitions`, and — with `--check` — the baseline's numbers under
 //! `"before"`. `--check` fails when a workload has no baseline entry,
@@ -193,6 +196,35 @@ impl StoreInfo {
     fn compression_ratio(&self) -> f64 {
         self.text_bytes as f64 / (self.binary_bytes.max(1)) as f64
     }
+}
+
+/// The machine a snapshot was taken on, reported as its top-level
+/// `"machine"` block.
+#[derive(Debug, Clone, PartialEq)]
+struct Machine {
+    /// The CPU model `/proc/cpuinfo` names, or `"unknown"`.
+    cpu: String,
+    /// `std::thread::available_parallelism`, 1 when it cannot be read.
+    parallelism: usize,
+}
+
+impl Machine {
+    fn detect() -> Machine {
+        let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+        Machine {
+            cpu: cpu_model(&cpuinfo).unwrap_or("unknown").to_string(),
+            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+}
+
+/// The CPU model a `/proc/cpuinfo` text names: the value of its first
+/// `model name` line.
+fn cpu_model(cpuinfo: &str) -> Option<&str> {
+    cpuinfo.lines().find_map(|line| {
+        let (key, value) = line.split_once(':')?;
+        (key.trim() == "model name").then(|| value.trim())
+    })
 }
 
 /// Feeds `events` through a fresh incremental core and finishes it: the
@@ -406,9 +438,15 @@ fn die(msg: &str) -> ! {
 fn render(
     results: &[(&'static str, Sample)],
     info: StoreInfo,
+    machine: &Machine,
     priors: &[(String, Prior)],
 ) -> String {
     let mut out = String::from("{\n  \"schema\": \"perfsnap/v2\",\n");
+    out.push_str(&format!(
+        "  \"machine\": {{\"cpu\": {}, \"available_parallelism\": {}}},\n",
+        serde_json::to_string(&machine.cpu).expect("a string serializes"),
+        machine.parallelism,
+    ));
     out.push_str(&format!(
         "  \"store\": {{\"text_bytes\": {}, \"binary_bytes\": {}, \"compression_ratio\": {:.3}}},\n",
         info.text_bytes,
@@ -574,6 +612,11 @@ fn main() {
     }
     let baseline = check_path.as_deref().map(load_priors).unwrap_or_default();
 
+    let machine = Machine::detect();
+    eprintln!(
+        "{:>15}: {} x{}",
+        "machine", machine.cpu, machine.parallelism
+    );
     let (results, info) = measure();
     for (name, s) in &results {
         eprintln!(
@@ -592,7 +635,7 @@ fn main() {
         info.compression_ratio(),
     );
 
-    let json = render(&results, info, &baseline);
+    let json = render(&results, info, &machine, &baseline);
     if let Err(e) = std::fs::write(&out_path, &json) {
         die(&format!("cannot write {out_path}: {e}"));
     }
@@ -678,6 +721,39 @@ mod tests {
         assert!(
             failures[0].starts_with(expected),
             "{expected}: {failures:?}"
+        );
+    }
+
+    #[test]
+    fn cpu_model_reads_the_first_model_name_line() {
+        let cpuinfo = "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel\t\t: 106\n\
+                       model name\t: Intel(R) Xeon(R) Platinum 8375C CPU @ 2.90GHz\n\
+                       flags\t\t: fpu vme\n\nprocessor\t: 1\nmodel name\t: Other\n";
+        assert_eq!(
+            cpu_model(cpuinfo),
+            Some("Intel(R) Xeon(R) Platinum 8375C CPU @ 2.90GHz")
+        );
+        // No `model name` line (some ARM kernels), and no text at all.
+        assert_eq!(cpu_model("processor\t: 0\nCPU part\t: 0xd0c\n"), None);
+        assert_eq!(cpu_model(""), None);
+    }
+
+    #[test]
+    fn the_snapshot_carries_the_machine_block() {
+        let machine = Machine {
+            cpu: "Model \"X\" 9".to_string(),
+            parallelism: 2,
+        };
+        let json = render(&snapshot(), STORE, &machine, &[]);
+        let v: serde_json::Value = serde_json::from_str(&json).expect("the snapshot is JSON");
+        let block = v.get("machine").expect("a machine block");
+        assert_eq!(
+            block.get("cpu").and_then(|c| c.as_str()),
+            Some("Model \"X\" 9")
+        );
+        assert_eq!(
+            block.get("available_parallelism").and_then(|n| n.as_f64()),
+            Some(2.0)
         );
     }
 

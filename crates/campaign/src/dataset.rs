@@ -51,6 +51,10 @@ pub struct Dataset {
 pub struct CampaignStats {
     /// Number of stationary runs executed.
     pub runs: usize,
+    /// Attempts made across all runs: equal to `runs` in clean mode; in
+    /// chaos mode each retry adds one, and a quarantined run counts every
+    /// attempt it spent.
+    pub attempts: usize,
     /// Worker threads used: the requested count, capped at the number of
     /// runs.
     pub workers: usize,

@@ -19,17 +19,23 @@
 //! [`Dataset`] is bitwise-identical for any worker count.
 //!
 //! With [`CampaignConfig::chaos`] set, chaos is a stage after the stream:
-//! the stepper renders the run's events to NSG text, then each attempt
-//! corrupts that text with a fresh seeded chaos engine, re-parses it
-//! lossily and feeds the survivors to the slot. A run whose loss stays out
-//! of bounds is retried with backoff and quarantined into the dataset's
+//! the stepper renders the run's events to NSG text, which the worker keeps
+//! until the run's attempts finish. Each attempt walks that text in fixed
+//! line-aligned windows of about 32 KiB: a fresh seeded chaos engine
+//! corrupts each window into the worker's one window-sized dirty buffer,
+//! and the worker's pooled lossy parser takes it as the next piece,
+//! handing the survivors straight to the slot. No dirty copy of the
+//! capture and no parsed trace is ever held. The loss gate reads the
+//! parser's accounting once the text ends: a run whose loss stays out of
+//! bounds is retried with backoff and quarantined into the dataset's
 //! [`QuarantineReport`] once every attempt has failed, instead of aborting
-//! the campaign. Retries reuse the rendered text, so a chaos run is
-//! simulated exactly once. A panic in the stages that see dirty input
-//! (corrupt → parse → analyze) fails only its attempt; the simulator sees
-//! no dirty input and is deterministic in the job seed, so a retry could
-//! never get past a panic there, and it aborts the campaign as it does in
-//! clean mode.
+//! the campaign; a rejected attempt's slot state is discarded by the next
+//! attempt's reset. Retries reuse the rendered text, so a chaos run is
+//! simulated and rendered exactly once. A panic in the stages that see
+//! dirty input (corrupt → parse → analyze) fails only its attempt; the
+//! simulator sees no dirty input and is deterministic in the job seed, so
+//! a retry could never get past a panic there, and it aborts the campaign
+//! as it does in clean mode.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,7 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use onoff_detect::channel::{ChannelUsage, Merge, ScellModScan, ScellModStats};
 use onoff_detect::{RunAnalysis, TraceAnalyzer};
-use onoff_nsglog::{emit_event, parse_str_lossy_into, ParseStats};
+use onoff_nsglog::{emit_event, ParseStats, RecoveringParser};
 use onoff_policy::{policy_for, DeviceProfile, Operator, OperatorPolicy, PhoneModel};
 use onoff_radio::noise::hash_words;
 use onoff_radio::{RadioTables, UeSampler};
@@ -219,18 +225,127 @@ impl<'a> AreaTables<'a> {
 ///
 /// One instance lives for a worker's whole drain: one `RunSlot`, built at
 /// the worker's first run and reset for every later one, one recorder,
-/// and the chaos stage's dirty-text and parse buffers. The recorder only
-/// holds the events of the run's last step or so, and the slot only its
-/// analyzer's state, so a clean worker's footprint does not grow with
-/// trace length (DESIGN.md §16). In chaos mode the slot also keeps the
-/// run's rendered text until the run's attempts finish, and the two
-/// chaos buffers settle at the largest capture the worker has seen.
+/// and the chaos stage's buffers. The recorder only holds the events of
+/// the run's last step or so, and the slot only its analyzer's state, so
+/// a clean worker's footprint does not grow with trace length (DESIGN.md
+/// §16). A chaos worker also keeps one rendered capture, which settles at
+/// the largest the worker has seen, plus a dirty window and a parser's
+/// open record whose sizes do not depend on the capture.
 #[derive(Default)]
 struct RunScratch {
     slot: Option<RunSlot>,
     rec: Recorder,
-    parsed: Vec<TraceEvent>,
+    chaos: ChaosStage,
+}
+
+/// Size of a chaos window: each holds this many bytes of rendered capture
+/// and runs on to the end of the line its last byte is in.
+const CHAOS_WINDOW_BYTES: usize = 32 << 10;
+
+/// The end of the chaos window at the start of `rest`.
+fn window_end(rest: &str) -> usize {
+    rest.as_bytes()
+        .get(CHAOS_WINDOW_BYTES - 1..)
+        .and_then(|tail| tail.iter().position(|&b| b == b'\n'))
+        .map_or(rest.len(), |i| CHAOS_WINDOW_BYTES + i)
+}
+
+/// A chaos worker's buffers: the run's rendered capture, kept until its
+/// attempts finish, one window of it corrupted, and the pooled lossy
+/// parser that reads the corrupted windows.
+#[derive(Default)]
+struct ChaosStage {
+    text: String,
     dirty: String,
+    /// Built at the worker's first chaos attempt, under the campaign's
+    /// recovery policy.
+    parser: Option<RecoveringParser>,
+}
+
+impl ChaosStage {
+    /// The chaos stage over the rendered text. Up to `max_attempts` times,
+    /// corrupts the text window by window with the attempt's chaos seed,
+    /// re-parses each window lossily into `slot`, and — when the loss over
+    /// the whole text stays in bounds — builds the record. Returns the
+    /// attempts made, with the accepted attempt's parse stats, record and
+    /// analysis or the last attempt's failure reason (excessive loss, or
+    /// a panic in these stages).
+    fn run(
+        &mut self,
+        slot: &mut RunSlot,
+        shared: &AreaTables<'_>,
+        job: &Job,
+        device: PhoneModel,
+        opts: &ChaosOptions,
+    ) -> (u32, Result<(ParseStats, RunRecord, RunAnalysis), String>) {
+        let (area, policy) = (shared.area, &shared.policy);
+        // Whether the job is poisoned doesn't change between attempts, so
+        // the chaos config is picked (and the destroy config materialized)
+        // once per job, then borrowed by every attempt.
+        let poisoned = opts
+            .poison
+            .as_ref()
+            .is_some_and(|(a, l)| *a == area.name && *l == job.location);
+        let destroy;
+        let chaos_cfg: &ChaosConfig = if poisoned {
+            destroy = ChaosConfig::destroy();
+            &destroy
+        } else {
+            &opts.chaos
+        };
+        let ChaosStage {
+            text,
+            dirty,
+            parser,
+        } = self;
+        let parser = parser.get_or_insert_with(|| RecoveringParser::new(opts.policy));
+        let attempts = opts.max_attempts.max(1);
+        let mut last_reason = String::new();
+        for attempt in 1..=attempts {
+            if attempt > 1 && opts.backoff_base_ms > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(
+                    opts.backoff_base_ms << (attempt - 2),
+                ));
+            }
+            // Fresh fault pattern per attempt, reproducible from the job.
+            let chaos_seed = hash_words(&[job.seed, u64::from(attempt), 0xC4A05]);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut engine = ChaosEngine::new(chaos_cfg.clone(), chaos_seed);
+                // Analyze the *surviving* events: the record, like every
+                // other counter, reflects what an analyst reading the dirty
+                // capture would see.
+                slot.start(area.operator, policy);
+                let mut rest = text.as_str();
+                while !rest.is_empty() {
+                    let (window, next) = rest.split_at(window_end(rest));
+                    dirty.clear();
+                    engine.corrupt_text_piece(window, dirty);
+                    parser.push(dirty, |ev| slot.feed(&ev));
+                    rest = next;
+                }
+                let stats = parser.finish(|ev| slot.feed(&ev));
+                if stats.loss_ratio() > opts.max_loss_ratio {
+                    return Err(format!(
+                        "loss ratio {:.2} exceeds {:.2}",
+                        stats.loss_ratio(),
+                        opts.max_loss_ratio
+                    ));
+                }
+                let (record, analysis) = slot.finish(&area.name, job.location, device, job.seed);
+                Ok((stats, record, analysis))
+            }))
+            .unwrap_or_else(|_| {
+                // The panic may have left the parser inside a text.
+                *parser = RecoveringParser::new(opts.policy);
+                Err("pipeline panicked".to_string())
+            });
+            match outcome {
+                Ok(accepted) => return (attempt, Ok(accepted)),
+                Err(reason) => last_reason = reason,
+            }
+        }
+        (attempts, Err(last_reason))
+    }
 }
 
 /// The consumer of a run: the fused analyzer (scoring on) plus the record
@@ -248,9 +363,6 @@ struct RunSlot {
     /// The run's SCell-modification counts, merged into the shard only
     /// when the run is accepted.
     scell_mod: ScellModStats,
-    /// Chaos mode: the run's rendered clean capture, kept until its
-    /// attempts finish.
-    text: String,
 }
 
 impl RunSlot {
@@ -261,7 +373,6 @@ impl RunSlot {
             record: RecordFold::new(operator),
             scell: ScellModScan::default(),
             scell_mod: ScellModStats::default(),
-            text: String::new(),
         }
     }
 
@@ -300,76 +411,6 @@ impl RunSlot {
             .record(area, location, device, seed, &analysis, &predictions);
         (record, analysis)
     }
-
-    /// The chaos stage over the slot's rendered text. Up to
-    /// `max_attempts` times, corrupts the text into `dirty` with the
-    /// attempt's chaos seed, re-parses it lossily into `parsed`, and —
-    /// when the loss stays in bounds — analyzes the surviving events.
-    /// Returns the first accepted attempt's parse stats, record and
-    /// analysis, or the last attempt's failure reason (excessive loss, or
-    /// a panic in these stages).
-    fn run_chaos(
-        &mut self,
-        shared: &AreaTables<'_>,
-        job: &Job,
-        device: PhoneModel,
-        opts: &ChaosOptions,
-        parsed: &mut Vec<TraceEvent>,
-        dirty: &mut String,
-    ) -> Result<(ParseStats, RunRecord, RunAnalysis), String> {
-        let (area, policy) = (shared.area, &shared.policy);
-        // Whether the job is poisoned doesn't change between attempts, so
-        // the chaos config is picked (and the destroy config materialized)
-        // once per job, then borrowed by every attempt.
-        let poisoned = opts
-            .poison
-            .as_ref()
-            .is_some_and(|(a, l)| *a == area.name && *l == job.location);
-        let destroy;
-        let chaos_cfg: &ChaosConfig = if poisoned {
-            destroy = ChaosConfig::destroy();
-            &destroy
-        } else {
-            &opts.chaos
-        };
-        let mut last_reason = String::new();
-        for attempt in 1..=opts.max_attempts.max(1) {
-            if attempt > 1 && opts.backoff_base_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(
-                    opts.backoff_base_ms << (attempt - 2),
-                ));
-            }
-            // Fresh fault pattern per attempt, reproducible from the job.
-            let chaos_seed = hash_words(&[job.seed, u64::from(attempt), 0xC4A05]);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                ChaosEngine::new(chaos_cfg.clone(), chaos_seed)
-                    .corrupt_text_into(&self.text, dirty);
-                let stats = parse_str_lossy_into(dirty, opts.policy, parsed);
-                if stats.loss_ratio() > opts.max_loss_ratio {
-                    return Err(format!(
-                        "loss ratio {:.2} exceeds {:.2}",
-                        stats.loss_ratio(),
-                        opts.max_loss_ratio
-                    ));
-                }
-                // Analyze the *surviving* events: the record, like every
-                // other counter, reflects what an analyst reading the dirty
-                // capture would see.
-                self.start(area.operator, policy);
-                for ev in parsed.iter() {
-                    self.feed(ev);
-                }
-                let (record, analysis) = self.finish(&area.name, job.location, device, job.seed);
-                Ok((stats, record, analysis))
-            }))
-            .unwrap_or_else(|_| Err("pipeline panicked".to_string()));
-            match outcome {
-                Ok(accepted) => return Ok(accepted),
-                Err(reason) => last_reason = reason,
-            }
-        }
-        Err(last_reason)
-    }
 }
 
 /// Aggregates accumulated by one worker (and, after merging, the whole
@@ -386,6 +427,7 @@ struct Aggregates {
     usage_lte: FxMap<Operator, ChannelUsage>,
     scell_mod: FxMap<Operator, ScellModStats>,
     quarantine: QuarantineReport,
+    attempts: usize,
     events_processed: u64,
     simulated_ms: u64,
 }
@@ -399,6 +441,7 @@ impl Merge for Aggregates {
         Merge::merge(&mut self.usage_lte, other.usage_lte);
         Merge::merge(&mut self.scell_mod, other.scell_mod);
         Merge::merge(&mut self.quarantine, other.quarantine);
+        self.attempts += other.attempts;
         self.events_processed += other.events_processed;
         self.simulated_ms += other.simulated_ms;
     }
@@ -412,10 +455,10 @@ impl Aggregates {
     /// `RunSlot` — analyzer and scorer included — is reset between runs
     /// instead of rebuilt. In clean mode the stepper streams the run's
     /// events straight into the slot; in chaos mode it streams them into
-    /// the slot's text, and the chaos stage then feeds the slot what
-    /// survives. Either way the slot sees the events in exactly the order
-    /// a collected trace holds them, so the dataset is bitwise-identical at
-    /// any worker count.
+    /// the chaos stage's text, and the chaos stage then feeds the slot
+    /// what survives. Either way the slot sees the events in exactly the
+    /// order a collected trace holds them, so the dataset is
+    /// bitwise-identical at any worker count.
     fn absorb_run(
         &mut self,
         shared: &AreaTables<'_>,
@@ -425,17 +468,13 @@ impl Aggregates {
         scratch: &mut RunScratch,
     ) {
         let (area, policy) = (shared.area, &shared.policy);
-        let RunScratch {
-            slot,
-            rec,
-            parsed,
-            dirty,
-        } = scratch;
+        let RunScratch { slot, rec, chaos } = scratch;
         let slot = slot.get_or_insert_with(|| RunSlot::new(area.operator, policy));
         let path = MovementPath::Stationary(area.locations[job.location]);
         let stepper = shared.stepper(device, &path, job.seed, cfg.duration_ms);
         match &cfg.chaos {
             None => {
+                self.attempts += 1;
                 slot.start(area.operator, policy);
                 *rec = stepper.stream(std::mem::take(rec), |ev| slot.feed(ev));
                 let (record, analysis) =
@@ -443,11 +482,14 @@ impl Aggregates {
                 self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
             }
             Some(opts) => {
-                slot.text.clear();
+                let text = &mut chaos.text;
+                text.clear();
                 *rec = stepper.stream(std::mem::take(rec), |ev| {
-                    emit_event(ev, &mut slot.text).expect("fmt::Write to a String is infallible")
+                    emit_event(ev, text).expect("fmt::Write to a String is infallible")
                 });
-                match slot.run_chaos(shared, job, cfg.device, opts, parsed, dirty) {
+                let (attempts, outcome) = chaos.run(slot, shared, job, cfg.device, opts);
+                self.attempts += attempts as usize;
+                match outcome {
                     Ok((stats, record, analysis)) => {
                         self.quarantine.records_lost += stats.skipped;
                         self.quarantine.timestamps_repaired += stats.timestamps_repaired;
@@ -460,7 +502,7 @@ impl Aggregates {
                         area: area.name.clone(),
                         location: job.location,
                         seed: job.seed,
-                        attempts: opts.max_attempts.max(1),
+                        attempts,
                         reason,
                     }),
                 }
@@ -656,6 +698,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Dataset {
     let secs = wall.as_secs_f64().max(f64::MIN_POSITIVE);
     let stats = CampaignStats {
         runs: jobs.len(),
+        attempts: agg.attempts,
         workers,
         events_processed: agg.events_processed,
         simulated_ms: agg.simulated_ms,
@@ -709,6 +752,28 @@ mod tests {
         let (r1, ..) = run_location(&a1, 3, PhoneModel::OnePlus12R, 9, 60_000);
         let (r2, ..) = run_location(&a1, 3, PhoneModel::OnePlus12R, 9, 60_000);
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn chaos_windows_are_whole_lines_that_cover_the_text() {
+        let line = "00:00:01.000 Throughput = 1.5 Mbps\n";
+        let text = line.repeat(3 * CHAOS_WINDOW_BYTES / line.len() + 7);
+        let mut windows = Vec::new();
+        let mut rest = text.as_str();
+        while !rest.is_empty() {
+            let (window, next) = rest.split_at(window_end(rest));
+            windows.push(window);
+            rest = next;
+        }
+        assert_eq!(windows.concat(), text);
+        assert_eq!(windows.len(), 4);
+        for window in &windows[..3] {
+            assert!(window.ends_with('\n'));
+            assert!((CHAOS_WINDOW_BYTES..CHAOS_WINDOW_BYTES + line.len()).contains(&window.len()));
+        }
+        // A short tail, newline-terminated or not, is one window.
+        assert_eq!(window_end("a\nb"), 3);
+        assert_eq!(window_end(""), 0);
     }
 
     #[test]

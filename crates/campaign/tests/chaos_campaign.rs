@@ -59,6 +59,10 @@ fn poisoned_run_is_quarantined_not_fatal() {
         .records
         .iter()
         .all(|r| !(r.area == "A1" && r.location == 0)));
+    // Each poisoned run spent one retry; the quiet runs and every clean
+    // run took one attempt.
+    assert_eq!(ds.stats.attempts, ds.stats.runs + 2);
+    assert_eq!(clean.stats.attempts, clean.stats.runs);
 
     // The ledger survives persistence.
     let dir = std::env::temp_dir().join("onoff_chaos_campaign_test");

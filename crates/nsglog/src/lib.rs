@@ -16,22 +16,24 @@
 //! Each direction of the codec exists once, as a **streaming core**; the
 //! batch API is a thin driver over it, so the two cannot drift:
 //!
-//! | workload | parse | emit |
-//! |---|---|---|
-//! | live tail / larger-than-memory capture | [`parse_lines`] | [`emit_to`] / [`emit_io`] |
-//! | whole trace already in memory | [`parse_str`] | [`emit()`] |
+//! | workload | parse | lossy parse | emit |
+//! |---|---|---|---|
+//! | live tail / larger-than-memory capture | [`parse_lines`] | [`RecoveringParser`] | [`emit_to`] / [`emit_io`] |
+//! | whole trace already in memory | [`parse_str`] | [`parse_str_lossy`] | [`emit()`] |
 //!
 //! [`parse_lines`] pulls from any `Iterator<Item = &str>` and yields one
 //! `Result<TraceEvent, ParseError>` per record in constant space;
-//! [`parse_str`] simply collects it. [`emit_to`] streams records into any
-//! [`std::fmt::Write`] sink ([`emit_io`] adapts [`std::io::Write`]);
-//! [`emit()`] drives it into a `String`.
+//! [`parse_str`] simply collects it. Both are fail-fast. [`emit_to`]
+//! streams records into any [`std::fmt::Write`] sink ([`emit_io`] adapts
+//! [`std::io::Write`]); [`emit()`] drives it into a `String`.
 //!
-//! Both parse entry points are fail-fast. For dirty field captures
-//! (truncated records, interleaved garbage), wrap the same core in
-//! [`RecoveringParser`] — or call [`parse_str_lossy`] — to skip malformed
-//! records under a [`RecoveryPolicy`] with exact loss accounting
-//! ([`ParseStats`]).
+//! For dirty field captures (truncated records, interleaved garbage),
+//! [`RecoveringParser`] is the lossy core: a push parser that takes the
+//! text in pieces of whole lines, skips malformed records under a
+//! [`RecoveryPolicy`] with exact loss accounting ([`ParseStats`]), hands
+//! each recovered event to a sink, and keeps at most one incomplete record
+//! between pieces. [`parse_str_lossy`] and [`parse_str_lossy_into`] push a
+//! whole text as one piece, decoded in place.
 //!
 //! ```
 //! use onoff_nsglog::{parse_lines, parse_str};

@@ -4,7 +4,7 @@
 //! first token is a `HH:MM:SS.mmm` timestamp; indented lines continue the
 //! current record. Errors carry 1-based line numbers.
 //!
-//! Two entry points share one implementation:
+//! Two fail-fast entry points share one implementation:
 //!
 //! * [`parse_lines`] — the **incremental core**: a pull parser over any
 //!   `Iterator<Item = &str>` that yields one `Result<TraceEvent, ParseError>`
@@ -13,6 +13,12 @@
 //! * [`parse_str`] — the **batch driver**: collects the same iterator into a
 //!   `Vec`, stopping at the first error. It cannot drift from the streaming
 //!   parser because it *is* the streaming parser.
+//!
+//! Both decode each record with `parse_record`, which the lossy push parser
+//! ([`crate::recover::RecoveringParser`]) shares. It reports only the
+//! [`ParseErrorKind`]: a [`ParseError`] carries a copy of the offending
+//! line, so callers build one only where an error is surfaced or kept, and
+//! a skipped record costs no allocation.
 //!
 //! RAT inference inside lists: channel numbers below 70 000 are LTE EARFCNs,
 //! everything else is an NR-ARFCN. This discriminator is exact for every
@@ -98,7 +104,7 @@ pub struct ParseLines<'a, I: Iterator<Item = &'a str>> {
     /// Reusable continuation-line buffer: taken at the start of each
     /// record, restored after parsing, so the per-record body `Vec`
     /// allocates once per parser instead of once per record.
-    scratch: Vec<(usize, &'a str)>,
+    scratch: Vec<&'a str>,
 }
 
 impl<'a, I: Iterator<Item = &'a str>> ParseLines<'a, I> {
@@ -110,46 +116,19 @@ impl<'a, I: Iterator<Item = &'a str>> ParseLines<'a, I> {
         loop {
             let raw = self.lines.next()?;
             self.lineno += 1;
-            let line = raw.strip_suffix('\r').unwrap_or(raw); // tolerate CRLF exports
-            if !line.trim().is_empty() {
+            if let Some(line) = content_line(raw) {
                 return Some((self.lineno, line));
             }
         }
     }
 
-    /// Re-arms the parser after an error so iteration can resume at the
-    /// next record head.
-    ///
-    /// A failed record's continuation lines were already consumed as its
-    /// body (the next head is parked in the lookahead slot), so for field
-    /// errors this only clears the fuse. For an
-    /// [`ParseErrorKind::OrphanContinuation`] error the rest of the orphan
-    /// run is still in the source; those lines are discarded here and
-    /// their count returned, so callers can account for every input line.
-    ///
-    /// Used by [`crate::recover::RecoveringParser`]; harmless to call on a
-    /// healthy parser (it re-parks the pending head and skips nothing).
-    pub fn resync(&mut self) -> usize {
-        self.done = false;
-        let mut skipped = 0;
-        while let Some((n, line)) = self.next_line() {
-            if line.starts_with(char::is_whitespace) {
-                skipped += 1;
-            } else {
-                self.lookahead = Some((n, line));
-                break;
-            }
-        }
-        skipped
-    }
-
     /// Pulls the next line if it continues the current record; otherwise
     /// parks it as the next record's head. This is the peek-then-next of
     /// the old batch loop fused into one infallible call.
-    fn next_continuation(&mut self) -> Option<(usize, &'a str)> {
+    fn next_continuation(&mut self) -> Option<&'a str> {
         let (n, line) = self.next_line()?;
-        if line.starts_with(char::is_whitespace) {
-            Some((n, line))
+        if is_continuation(line) {
+            Some(line)
         } else {
             self.lookahead = Some((n, line));
             None
@@ -165,7 +144,7 @@ impl<'a, I: Iterator<Item = &'a str>> Iterator for ParseLines<'a, I> {
             return None;
         }
         let (lineno, head) = self.next_line()?;
-        if head.starts_with(char::is_whitespace) {
+        if is_continuation(head) {
             self.done = true;
             return Some(Err(ParseError::new(
                 lineno,
@@ -178,72 +157,70 @@ impl<'a, I: Iterator<Item = &'a str>> Iterator for ParseLines<'a, I> {
         while let Some(cont) = self.next_continuation() {
             body.push(cont);
         }
-        let parsed = parse_record(lineno, head, &body);
+        let parsed = parse_record(head, &body);
         self.scratch = body;
         if parsed.is_err() {
             self.done = true;
         }
-        Some(parsed)
+        Some(parsed.map_err(|kind| ParseError::new(lineno, kind, head)))
     }
 }
 
-fn parse_record(
-    lineno: usize,
-    head: &str,
-    body: &[(usize, &str)],
-) -> Result<TraceEvent, ParseError> {
-    let (ts_str, rest) = head
-        .split_once(' ')
-        .ok_or_else(|| ParseError::new(lineno, ParseErrorKind::BadTimestamp, head))?;
-    let t = Timestamp::parse_hms(ts_str)
-        .ok_or_else(|| ParseError::new(lineno, ParseErrorKind::BadTimestamp, head))?;
+/// A raw source line as the parsers see it: `None` for a blank line,
+/// otherwise the line with a trailing `\r` (CRLF exports) removed.
+pub(crate) fn content_line(raw: &str) -> Option<&str> {
+    let line = raw.strip_suffix('\r').unwrap_or(raw);
+    (!line.trim().is_empty()).then_some(line)
+}
+
+/// Whether a non-blank line continues the current record (is indented)
+/// rather than starting one.
+pub(crate) fn is_continuation(line: &str) -> bool {
+    line.starts_with(char::is_whitespace)
+}
+
+/// Decodes one record from its head line and its continuation lines.
+///
+/// Every failure is the record's own — a [`ParseError`] built from it
+/// points at the head line — so only the kind is returned and the caller
+/// decides whether the error is worth a copy of the line.
+pub(crate) fn parse_record(head: &str, body: &[&str]) -> Result<TraceEvent, ParseErrorKind> {
+    let (ts_str, rest) = head.split_once(' ').ok_or(ParseErrorKind::BadTimestamp)?;
+    let t = Timestamp::parse_hms(ts_str).ok_or(ParseErrorKind::BadTimestamp)?;
 
     if let Some(state) = rest.strip_prefix("MM5G State = ") {
         let state = match state.trim() {
             "REGISTERED" => MmState::Registered,
             "DEREGISTERED" => MmState::DeregisteredNoCellAvailable,
-            _ => {
-                return Err(ParseError::new(
-                    lineno,
-                    ParseErrorKind::BadField("MM5G State"),
-                    head,
-                ))
-            }
+            _ => return Err(ParseErrorKind::BadField("MM5G State")),
         };
         return Ok(TraceEvent::Mm { t, state });
     }
 
     if let Some(rest) = rest.strip_prefix("Throughput = ") {
-        let mbps_str = rest
+        let mbps: f64 = rest
             .strip_suffix(" Mbps")
-            .ok_or_else(|| ParseError::new(lineno, ParseErrorKind::BadField("Throughput"), head))?;
-        let mbps: f64 = mbps_str
-            .parse()
-            .map_err(|_| ParseError::new(lineno, ParseErrorKind::BadField("Throughput"), head))?;
+            .and_then(|mbps| mbps.parse().ok())
+            .ok_or(ParseErrorKind::BadField("Throughput"))?;
         return Ok(TraceEvent::Throughput { t, mbps });
     }
 
     // `<RAT> RRC OTA Packet -- <CHANNEL> / <NAME>`
     let (rat_str, rest) = rest
         .split_once(' ')
-        .ok_or_else(|| ParseError::new(lineno, ParseErrorKind::UnknownRecordHead, head))?;
+        .ok_or(ParseErrorKind::UnknownRecordHead)?;
     let rat = match rat_str {
         "NR5G" => Rat::Nr,
         "LTE" => Rat::Lte,
-        _ => return Err(ParseError::new(lineno, ParseErrorKind::BadRat, head)),
+        _ => return Err(ParseErrorKind::BadRat),
     };
-    let rest = rest
-        .strip_prefix("RRC OTA Packet -- ")
-        .ok_or_else(|| ParseError::new(lineno, ParseErrorKind::UnknownRecordHead, head))?;
     let (ch_str, name) = rest
-        .split_once(" / ")
-        .ok_or_else(|| ParseError::new(lineno, ParseErrorKind::UnknownRecordHead, head))?;
-    let channel = LogChannel::from_label(ch_str)
-        .ok_or_else(|| ParseError::new(lineno, ParseErrorKind::BadChannel, head))?;
+        .strip_prefix("RRC OTA Packet -- ")
+        .and_then(|rest| rest.split_once(" / "))
+        .ok_or(ParseErrorKind::UnknownRecordHead)?;
+    let channel = LogChannel::from_label(ch_str).ok_or(ParseErrorKind::BadChannel)?;
 
-    let fields = Fields { body };
-    let (context, msg) = parse_message(rat, name.trim(), &fields)
-        .map_err(|kind| ParseError::new(lineno, kind, head))?;
+    let (context, msg) = parse_message(rat, name.trim(), &Fields { body })?;
 
     Ok(TraceEvent::Rrc(LogRecord {
         t,
@@ -256,23 +233,22 @@ fn parse_record(
 
 /// Access helper over a record's continuation lines.
 struct Fields<'a> {
-    body: &'a [(usize, &'a str)],
+    body: &'a [&'a str],
 }
 
 impl<'a> Fields<'a> {
     /// First line starting (after trim) with `prefix`; returns the remainder.
-    fn get(&self, prefix: &str) -> Option<(usize, &'a str)> {
-        self.body.iter().find_map(|(i, l)| {
-            let l = l.trim_start();
-            l.strip_prefix(prefix).map(|r| (*i, r))
-        })
+    fn get(&self, prefix: &str) -> Option<&'a str> {
+        self.body
+            .iter()
+            .find_map(|l| l.trim_start().strip_prefix(prefix))
     }
 
     /// First line starting (after trim) with `prefix`, returned whole
     /// (prefix included) — lets key=value parsers run on the borrowed line
     /// without re-assembling it.
     fn get_line(&self, prefix: &str) -> Option<&'a str> {
-        self.body.iter().find_map(|(_, l)| {
+        self.body.iter().find_map(|l| {
             let l = l.trim_start();
             l.starts_with(prefix).then_some(l)
         })
@@ -281,10 +257,10 @@ impl<'a> Fields<'a> {
     /// Lines strictly inside a `name {` ... `}` block, as a borrowed
     /// iterator over the body slice (no per-record `Vec`).
     fn block(&self, open: &str) -> Result<impl Iterator<Item = &'a str> + 'a, ParseErrorKind> {
-        let range = match self.body.iter().position(|(_, l)| l.trim() == open) {
+        let range = match self.body.iter().position(|l| l.trim() == open) {
             Some(start) => {
                 let inner = &self.body[start + 1..];
-                match inner.iter().position(|(_, l)| l.trim() == "}") {
+                match inner.iter().position(|l| l.trim() == "}") {
                     Some(end) => start + 1..start + 1 + end,
                     // `open` is e.g. "measConfig {"; report the bare name.
                     None => {
@@ -299,7 +275,7 @@ impl<'a> Fields<'a> {
             }
             None => 0..0,
         };
-        Ok(self.body[range].iter().map(|(_, l)| l.trim()))
+        Ok(self.body[range].iter().map(|l| l.trim()))
     }
 }
 
@@ -388,7 +364,7 @@ fn parse_message(
         }
         "SystemInformationBlockType1" => {
             let (cell, _) = ctx.ok_or(ParseErrorKind::MissingField("Physical Cell ID"))?;
-            let (_, v) = fields
+            let v = fields
                 .get("q-RxLevMin = ")
                 .ok_or(ParseErrorKind::MissingField("q-RxLevMin"))?;
             let q: i32 = v
@@ -424,7 +400,7 @@ fn parse_message(
         "MeasurementReport" => {
             let trigger = fields
                 .get("trigger = ")
-                .map(|(_, v)| Trigger::from_label(v.trim()));
+                .map(|v| Trigger::from_label(v.trim()));
             let mut results = InlineVec::new();
             for line in fields.block("measResults {")? {
                 results.push(match parse_meas_row_fast(line) {
@@ -435,7 +411,7 @@ fn parse_message(
             RrcMessage::MeasurementReport(MeasurementReport { trigger, results })
         }
         "SCGFailureInformation" => {
-            let (_, v) = fields
+            let v = fields
                 .get("failureType = ")
                 .ok_or(ParseErrorKind::MissingField("failureType"))?;
             let failure = ScgFailureType::from_asn1(v.trim())
@@ -443,7 +419,7 @@ fn parse_message(
             RrcMessage::ScgFailureInformation { failure }
         }
         "RRC Reestablishment Request" | "RRC Connection Reestablishment Request" => {
-            let (_, v) = fields
+            let v = fields
                 .get("reestablishmentCause = ")
                 .ok_or(ParseErrorKind::MissingField("reestablishmentCause"))?;
             let cause = ReestablishmentCause::from_asn1(v.trim())
@@ -451,7 +427,7 @@ fn parse_message(
             RrcMessage::ReestablishmentRequest { cause }
         }
         "RRC Reestablishment Complete" | "RRC Connection Reestablishment Complete" => {
-            let (_, v) = fields
+            let v = fields
                 .get("reestablishmentCell = ")
                 .ok_or(ParseErrorKind::MissingField("reestablishmentCell"))?;
             let cell: CellId = v
@@ -572,7 +548,7 @@ fn parse_reconfig(fields: &Fields<'_>) -> Result<ReconfigBody, ParseErrorKind> {
         body.scell_to_add_mod.push(parse_scell_entry(line)?);
     }
 
-    if let Some((_, rest)) = fields.get("sCellToReleaseList {") {
+    if let Some(rest) = fields.get("sCellToReleaseList {") {
         let inner = rest
             .strip_suffix('}')
             .ok_or(ParseErrorKind::BadField("sCellToReleaseList"))?;
@@ -592,7 +568,7 @@ fn parse_reconfig(fields: &Fields<'_>) -> Result<ReconfigBody, ParseErrorKind> {
         body.meas_config.push(parse_event_line(line)?);
     }
 
-    if let Some((_, rest)) = fields.get("spCellConfig {") {
+    if let Some(rest) = fields.get("spCellConfig {") {
         let inner = rest
             .strip_suffix('}')
             .ok_or(ParseErrorKind::BadField("spCellConfig"))?;
@@ -601,11 +577,11 @@ fn parse_reconfig(fields: &Fields<'_>) -> Result<ReconfigBody, ParseErrorKind> {
         body.sp_cell = Some(cell_from_parts(pci, arfcn));
     }
 
-    if let Some((_, v)) = fields.get("scg-Release = ") {
+    if let Some(v) = fields.get("scg-Release = ") {
         body.scg_release = v.trim() == "true";
     }
 
-    if let Some((_, rest)) = fields.get("mobilityControlInfo {") {
+    if let Some(rest) = fields.get("mobilityControlInfo {") {
         let inner = rest
             .strip_suffix('}')
             .ok_or(ParseErrorKind::BadField("mobilityControlInfo"))?;

@@ -1,26 +1,30 @@
 //! Lossy parse recovery for dirty field captures.
 //!
-//! [`parse_lines`] is fail-fast: the first malformed record fuses the
-//! iterator, which is the right default for round-trip guarantees but
-//! discards an entire capture over one truncated line.
-//! [`RecoveringParser`] wraps it with a [`RecoveryPolicy`]: malformed
-//! records can be skipped (and counted per [`ParseErrorKind`]) or, on top
-//! of that, non-monotonic timestamps repaired — so a drive-test log with a
-//! few percent of corruption still yields an analyzable trace plus an
-//! exact account of what was lost ([`ParseStats`]).
+//! [`parse_lines`](crate::parse_lines) is fail-fast: the first malformed
+//! record fuses the iterator, which is the right default for round-trip
+//! guarantees but discards an entire capture over one truncated line.
+//! [`RecoveringParser`] is the lossy core instead: a push parser that takes
+//! a capture in pieces of whole lines and applies a [`RecoveryPolicy`].
+//! Malformed records can be skipped (and counted per [`ParseErrorKind`])
+//! or, on top of that, non-monotonic timestamps repaired — so a drive-test
+//! log with a few percent of corruption still yields an analyzable trace
+//! plus an exact account of what was lost ([`ParseStats`]).
+//! [`parse_str_lossy`] and [`parse_str_lossy_into`] drive it over a whole
+//! text, parsed in place.
 
 use std::collections::BTreeMap;
 
 use onoff_rrc::trace::{Timestamp, TraceEvent};
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::parse::{parse_lines, ParseLines};
+use crate::parse::{content_line, is_continuation, parse_record};
 
 /// What to do when a record fails to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
-    /// Surface the first error and stop, exactly like [`parse_lines`].
-    /// Input past the error is never examined.
+    /// Surface the first error and stop, exactly like
+    /// [`parse_lines`](crate::parse_lines). Input past the error is never
+    /// decoded.
     FailFast,
     /// Drop malformed records, resynchronize at the next record head, and
     /// keep going; every drop is counted in [`ParseStats`].
@@ -83,103 +87,223 @@ impl std::fmt::Display for ParseStats {
     }
 }
 
-/// A lossy, policy-driven wrapper over the streaming parser.
+/// The lossy, policy-driven push parser.
 ///
-/// Yields `Result<TraceEvent, ParseError>` like [`parse_lines`]; under the
-/// recovering policies the `Err` arm never surfaces (failures are skipped
-/// and counted), so `filter_map(Result::ok)` loses nothing that
-/// [`stats`](Self::stats) doesn't report.
+/// [`push`](Self::push) takes the capture in pieces made of whole lines
+/// (every piece but the last ends in a newline) and hands each recovered
+/// event to a sink as soon as the next record head shows the record
+/// complete; [`finish`](Self::finish) flushes the last record and returns
+/// the loss accounting. Line numbers, the accounting, the
+/// [`RecoveryPolicy::FailFast`] fuse and the
+/// [`RecoveryPolicy::RepairTimestamps`] clock carry from one piece to the
+/// next, so any cut into whole-line pieces yields the events and
+/// [`ParseStats`] that [`parse_str_lossy`] gives for the whole text.
+///
+/// Records are decoded in place in the piece that holds them. The one
+/// exception is the record still open when a piece ends: its lines are
+/// copied into the parser (the only text it keeps) until the record
+/// completes in a later piece. A parser is reusable: `finish` leaves it
+/// ready for the next text, with its buffers kept.
+///
+/// Under the recovering policies failures are skipped and counted; under
+/// `FailFast` the first one fuses the parser, so later input is ignored.
+/// Either way the error is in [`ParseStats::first_error`].
 ///
 /// ```
 /// use onoff_nsglog::{RecoveringParser, RecoveryPolicy};
 ///
-/// let dirty = "00:00:01.000 Throughput = 1.5 Mbps\n\
-///              <corrupt line the capture tool interleaved>\n\
-///              00:00:02.000 Throughput = 2.0 Mbps\n";
-/// let mut parser = RecoveringParser::new(dirty.lines(), RecoveryPolicy::SkipAndCount);
-/// let events: Vec<_> = parser.by_ref().filter_map(Result::ok).collect();
-/// let stats = parser.stats();
+/// let mut parser = RecoveringParser::new(RecoveryPolicy::SkipAndCount);
+/// let mut events = Vec::new();
+/// parser.push(
+///     "00:00:01.000 Throughput = 1.5 Mbps\n\
+///      <corrupt line the capture tool interleaved>\n\
+///      00:00:02.000 NR5G RRC OTA Packet -- BCCH_BCH / MIB\n",
+///     |ev| events.push(ev),
+/// );
+/// // The MIB record continues in the next piece.
+/// parser.push(
+///     "  Physical Cell ID = 393, NR Cell Global ID = 0, Freq = 521310\n",
+///     |ev| events.push(ev),
+/// );
+/// let stats = parser.finish(|ev| events.push(ev));
 /// assert_eq!(events.len(), 2);
 /// assert_eq!((stats.records, stats.parsed, stats.skipped), (3, 2, 1));
 /// ```
 #[derive(Debug, Clone)]
-pub struct RecoveringParser<'a, I: Iterator<Item = &'a str>> {
-    inner: ParseLines<'a, I>,
+pub struct RecoveringParser {
     policy: RecoveryPolicy,
     stats: ParseStats,
+    /// Lines pushed so far, blank ones included (1-based numbering).
+    lineno: usize,
     /// Latest good timestamp, for [`RecoveryPolicy::RepairTimestamps`].
     last_t: Timestamp,
-    /// Set once a [`RecoveryPolicy::FailFast`] error has been yielded.
-    fused: bool,
+    state: State,
+    /// Line number of the open record's head.
+    head_line: usize,
+    /// The open record's lines, head first, each newline-terminated, once
+    /// the record has outlived the piece it started in.
+    carry: String,
 }
 
-impl<'a, I: Iterator<Item = &'a str>> RecoveringParser<'a, I> {
-    /// Wraps a line source with the given policy.
-    pub fn new<S>(lines: S, policy: RecoveryPolicy) -> RecoveringParser<'a, S::IntoIter>
-    where
-        S: IntoIterator<Item = &'a str, IntoIter = I>,
-    {
+/// Where a [`RecoveringParser`] stands between two lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// No line with content yet.
+    Start,
+    /// In a leading run of continuation lines, already counted as one
+    /// skipped record: the rest of the run is discarded.
+    Orphans,
+    /// A record's head has been seen; its continuation lines may follow.
+    Open,
+    /// A [`RecoveryPolicy::FailFast`] error was met: input is ignored.
+    Fused,
+}
+
+impl RecoveringParser {
+    /// A parser at the start of a text, under `policy`.
+    pub fn new(policy: RecoveryPolicy) -> RecoveringParser {
         RecoveringParser {
-            inner: parse_lines(lines),
             policy,
             stats: ParseStats::default(),
+            lineno: 0,
             last_t: Timestamp(0),
-            fused: false,
+            state: State::Start,
+            head_line: 0,
+            carry: String::new(),
         }
     }
 
-    /// Loss accounting so far (final once the iterator returns `None`).
-    pub fn stats(&self) -> &ParseStats {
-        &self.stats
+    /// Parses the next piece of the text, a run of whole lines, passing
+    /// each recovered event to `sink` in order.
+    pub fn push(&mut self, piece: &str, mut sink: impl FnMut(TraceEvent)) {
+        self.feed(piece, false, &mut sink);
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
+    /// Ends the text: parses the record still open, passing its event (if
+    /// it has one) to `sink`, and returns the text's loss accounting. The
+    /// parser is left ready for a new text under the same policy.
+    pub fn finish(&mut self, sink: impl FnMut(TraceEvent)) -> ParseStats {
+        self.finish_with("", sink)
     }
-}
 
-impl<'a, I: Iterator<Item = &'a str>> Iterator for RecoveringParser<'a, I> {
-    type Item = Result<TraceEvent, ParseError>;
+    /// [`push`](Self::push) of a last piece and [`finish`](Self::finish)
+    /// at once: the piece's last record is decoded in place instead of
+    /// being carried.
+    fn finish_with(&mut self, last: &str, mut sink: impl FnMut(TraceEvent)) -> ParseStats {
+        self.feed(last, true, &mut sink);
+        let stats = std::mem::take(&mut self.stats);
+        self.lineno = 0;
+        self.last_t = Timestamp(0);
+        self.state = State::Start;
+        self.carry.clear();
+        stats
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.fused {
-            return None;
-        }
-        loop {
-            match self.inner.next()? {
-                Ok(mut ev) => {
-                    self.stats.records += 1;
-                    self.stats.parsed += 1;
-                    if self.policy == RecoveryPolicy::RepairTimestamps {
-                        let t = ev.t();
-                        if t < self.last_t {
-                            ev.set_t(self.last_t);
-                            self.stats.timestamps_repaired += 1;
-                        } else {
-                            self.last_t = t;
+    /// Runs `piece` through the line state machine; with `end`, also
+    /// closes the record left open, as the end of the text does.
+    fn feed(&mut self, piece: &str, end: bool, sink: &mut impl FnMut(TraceEvent)) {
+        // The open record while its head lies in `piece`; when it does
+        // not, the open record is in `carry`.
+        let mut head = None;
+        let mut body = Vec::new();
+        for raw in piece.lines() {
+            if self.state == State::Fused {
+                return;
+            }
+            self.lineno += 1;
+            let Some(line) = content_line(raw) else {
+                continue;
+            };
+            if is_continuation(line) {
+                match (self.state, head) {
+                    (State::Start, _) => {
+                        self.head_line = self.lineno;
+                        self.skip(ParseErrorKind::OrphanContinuation, line);
+                        if self.state == State::Start {
+                            self.state = State::Orphans;
                         }
                     }
-                    return Some(Ok(ev));
+                    (State::Orphans, _) => self.stats.lines_discarded += 1,
+                    (_, Some(_)) => body.push(line),
+                    (_, None) => {
+                        self.carry.push_str(line);
+                        self.carry.push('\n');
+                    }
                 }
-                Err(e) => {
-                    self.stats.records += 1;
-                    self.stats.skipped += 1;
-                    *self
-                        .stats
-                        .skipped_by_kind
-                        .entry(e.kind.clone())
-                        .or_insert(0) += 1;
-                    if self.stats.first_error.is_none() {
-                        self.stats.first_error = Some(e.clone());
-                    }
-                    if self.policy == RecoveryPolicy::FailFast {
-                        self.fused = true;
-                        return Some(Err(e));
-                    }
-                    self.stats.lines_discarded += self.inner.resync();
+                continue;
+            }
+            if self.state == State::Open {
+                match head {
+                    Some(head) => self.close(head, &body, sink),
+                    None => self.close_carried(sink),
+                }
+                if self.state == State::Fused {
+                    return;
                 }
             }
+            head = Some(line);
+            body.clear();
+            self.head_line = self.lineno;
+            self.state = State::Open;
+        }
+        match head {
+            Some(head) if end => self.close(head, &body, sink),
+            Some(head) => {
+                for line in std::iter::once(head).chain(body) {
+                    self.carry.push_str(line);
+                    self.carry.push('\n');
+                }
+            }
+            None if end && self.state == State::Open => self.close_carried(sink),
+            None => {}
+        }
+    }
+
+    /// Decodes the open record from `carry` (stored lines hold no
+    /// newline, so splitting on it restores them exactly).
+    fn close_carried(&mut self, sink: &mut impl FnMut(TraceEvent)) {
+        let mut carry = std::mem::take(&mut self.carry);
+        let mut lines = carry.split_terminator('\n');
+        let head = lines.next().expect("a carried record holds its head");
+        let body: Vec<&str> = lines.collect();
+        self.close(head, &body, sink);
+        carry.clear();
+        self.carry = carry;
+    }
+
+    /// Decodes the open record and accounts for it.
+    fn close(&mut self, head: &str, body: &[&str], sink: &mut impl FnMut(TraceEvent)) {
+        match parse_record(head, body) {
+            Ok(mut ev) => {
+                self.stats.records += 1;
+                self.stats.parsed += 1;
+                if self.policy == RecoveryPolicy::RepairTimestamps {
+                    let t = ev.t();
+                    if t < self.last_t {
+                        ev.set_t(self.last_t);
+                        self.stats.timestamps_repaired += 1;
+                    } else {
+                        self.last_t = t;
+                    }
+                }
+                sink(ev);
+            }
+            Err(kind) => self.skip(kind, head),
+        }
+    }
+
+    /// Counts a failed record whose first line (numbered `head_line`) is
+    /// `text`. The error itself, which copies the line, is built only when
+    /// it is the text's first.
+    fn skip(&mut self, kind: ParseErrorKind, text: &str) {
+        self.stats.records += 1;
+        self.stats.skipped += 1;
+        if self.stats.first_error.is_none() {
+            self.stats.first_error = Some(ParseError::new(self.head_line, kind.clone(), text));
+        }
+        *self.stats.skipped_by_kind.entry(kind).or_insert(0) += 1;
+        if self.policy == RecoveryPolicy::FailFast {
+            self.state = State::Fused;
         }
     }
 }
@@ -198,16 +322,15 @@ pub fn parse_str_lossy(text: &str, policy: RecoveryPolicy) -> (Vec<TraceEvent>, 
 
 /// [`parse_str_lossy`] into a caller-owned buffer: `out` is cleared, then
 /// filled with the recoverable events, retaining its capacity across calls
-/// so a serving loop can recycle one parse buffer per frame.
+/// so a serving loop can recycle one parse buffer per frame. The text is
+/// pushed as one last piece, so every record is decoded in place.
 pub fn parse_str_lossy_into(
     text: &str,
     policy: RecoveryPolicy,
     out: &mut Vec<TraceEvent>,
 ) -> ParseStats {
     out.clear();
-    let mut parser = RecoveringParser::new(text.lines(), policy);
-    out.extend(parser.by_ref().filter_map(Result::ok));
-    parser.stats.clone()
+    RecoveringParser::new(policy).finish_with(text, |ev| out.push(ev))
 }
 
 #[cfg(test)]

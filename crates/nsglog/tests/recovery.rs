@@ -2,9 +2,10 @@
 //! chaos-corrupted traces or outright arbitrary text — every record
 //! attempt is either parsed or skipped (`parsed + skipped == records`),
 //! the attempt count matches what the text itself says it should be, and
-//! no policy ever panics.
+//! no policy ever panics. Pushing a text to the recovering parser in
+//! whole-line pieces recovers exactly what parsing it whole does.
 
-use onoff_nsglog::{emit, parse_str_lossy, RecoveryPolicy};
+use onoff_nsglog::{emit, parse_str_lossy, ParseStats, RecoveringParser, RecoveryPolicy};
 use onoff_rrc::ids::{CellId, GlobalCellId, Pci, Rat};
 use onoff_rrc::meas::{Measurement, Rsrp, Rsrq};
 use onoff_rrc::messages::{MeasResult, MeasurementReport, RrcMessage, Trigger};
@@ -156,8 +157,73 @@ fn check_conservation(text: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Cuts `text` into whole-line pieces: each fraction in `cuts` picks a
+/// byte, and the piece boundary goes after the newline that ends its line.
+/// Cuts that land in one line yield empty pieces.
+fn line_pieces<'a>(text: &'a str, cuts: &[f64]) -> Vec<&'a str> {
+    let mut ends: Vec<usize> = cuts
+        .iter()
+        .map(|f| {
+            let at = text.floor_char_boundary((f * text.len() as f64) as usize);
+            text[at..].find('\n').map_or(text.len(), |i| at + i + 1)
+        })
+        .collect();
+    ends.sort_unstable();
+    let mut start = 0;
+    let mut pieces = Vec::new();
+    for end in ends.into_iter().chain([text.len()]) {
+        pieces.push(&text[start..end]);
+        start = end;
+    }
+    pieces
+}
+
+/// Pushes `pieces` through `parser` and finishes the text.
+fn push_pieces(parser: &mut RecoveringParser, pieces: &[&str]) -> (Vec<TraceEvent>, ParseStats) {
+    let mut events = Vec::new();
+    for piece in pieces {
+        parser.push(piece, |ev| events.push(ev));
+    }
+    let stats = parser.finish(|ev| events.push(ev));
+    (events, stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A chaos-corrupted capture pushed in random whole-line pieces yields
+    /// the events and every `ParseStats` field of the whole-text parse,
+    /// under every policy: the fail-fast fuse, the repair clock and the
+    /// line count all carry across pieces, and a record split between
+    /// pieces is decoded once. The events' clocks are arbitrary, so the
+    /// repair policy has rollbacks to clamp. The parser is reused for a
+    /// second text, which `finish` must leave it ready for.
+    #[test]
+    fn pieces_parse_like_the_whole_text(
+        events in prop::collection::vec(arb_event(), 0..30),
+        seed in any::<u64>(),
+        intensity in 0.0f64..20.0,
+        cuts in prop::collection::vec(0.0f64..1.0, 0..12),
+    ) {
+        let clean = emit(&events);
+        let cfg = ChaosConfig::default().with_intensity(intensity);
+        let (dirty, _manifest) = chaos_text(&clean, &cfg, seed);
+        let pieces = line_pieces(&dirty, &cuts);
+        prop_assert_eq!(pieces.concat(), dirty.as_str());
+        for policy in POLICIES {
+            let (want_events, want) = parse_str_lossy(&dirty, policy);
+            let mut parser = RecoveringParser::new(policy);
+            for _ in 0..2 {
+                let (got_events, got) = push_pieces(&mut parser, &pieces);
+                prop_assert_eq!(&got_events, &want_events);
+                prop_assert_eq!(
+                    got.first_error.as_ref().map(|e| e.line),
+                    want.first_error.as_ref().map(|e| e.line)
+                );
+                prop_assert_eq!(&got, &want);
+            }
+        }
+    }
 
     /// Emit a valid trace, corrupt its text with seeded chaos at any
     /// intensity up to destroy-level, and require exact loss accounting

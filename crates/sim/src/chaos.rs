@@ -11,9 +11,11 @@
 //!
 //! Two mutation surfaces, composable through one engine:
 //!
-//! * **text** ([`ChaosEngine::corrupt_text`]) — line truncation, garbage
-//!   lines, single-character field corruption; exercises the parser's
-//!   recovery path ([`onoff_nsglog::RecoveringParser`]).
+//! * **text** ([`ChaosEngine::corrupt_text`], or piece by piece with
+//!   [`ChaosEngine::corrupt_text_piece`]) — line truncation, garbage lines,
+//!   single-character field corruption; exercises the parser's recovery
+//!   path ([`onoff_nsglog::RecoveringParser`], which takes the dirty text
+//!   in the same whole-line pieces).
 //! * **events** ([`ChaosEngine::corrupt_events`]) — duplication, forward
 //!   clock jumps, clock rollbacks and displacement beyond the stream
 //!   reorder horizon; exercises the analyzers' degradation accounting.
@@ -195,7 +197,9 @@ impl InjectionKind {
 }
 
 /// One fault at one place: `at` is the 0-based input line index for text
-/// mutations, the 0-based input event index for event mutations.
+/// mutations (counted over every line the engine has corrupted, so a text
+/// corrupted piece by piece numbers its lines as the whole text does), the
+/// 0-based input event index for event mutations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Injection {
     /// Where (input line or event index).
@@ -248,6 +252,8 @@ pub struct ChaosEngine {
     seed: u64,
     rng: StdRng,
     injections: Vec<Injection>,
+    /// Text lines corrupted so far, across every text call.
+    text_lines: usize,
 }
 
 /// Garbage lines a capture tool plausibly interleaves: binary spill,
@@ -271,6 +277,7 @@ impl ChaosEngine {
             seed,
             rng: StdRng::seed_from_u64(seed),
             injections: Vec::new(),
+            text_lines: 0,
         }
     }
 
@@ -304,18 +311,23 @@ impl ChaosEngine {
 
     /// Corrupts raw NSG text line by line.
     pub fn corrupt_text(&mut self, text: &str) -> String {
-        let mut out = String::new();
-        self.corrupt_text_into(text, &mut out);
+        let mut out = String::with_capacity(text.len());
+        self.corrupt_text_piece(text, &mut out);
         out
     }
 
-    /// [`corrupt_text`](Self::corrupt_text) into a caller-owned buffer:
-    /// clears `out`, then writes the dirty text into it, so a buffer
-    /// reused across captures stops growing once it has held the largest.
-    pub fn corrupt_text_into(&mut self, text: &str, out: &mut String) {
-        out.clear();
-        out.reserve(text.len());
-        for (i, line) in text.lines().enumerate() {
+    /// [`corrupt_text`](Self::corrupt_text) one piece at a time: appends
+    /// the corruption of `piece`, a run of whole lines (every piece but the
+    /// last ends in a newline), to `out`. Line indices in the manifest
+    /// continue across calls, and the random draws are the ones the whole
+    /// text takes, so corrupting a text piece by piece with one engine
+    /// yields exactly the text and manifest `corrupt_text` gives — without
+    /// ever holding a dirty copy of the whole text.
+    pub fn corrupt_text_piece(&mut self, piece: &str, out: &mut String) {
+        out.reserve(piece.len());
+        for line in piece.lines() {
+            let i = self.text_lines;
+            self.text_lines += 1;
             if self.draw(self.cfg.garbage_line) {
                 let pick = self.rng.random_range(0..GARBAGE_POOL.len());
                 out.push_str(GARBAGE_POOL[pick]);
@@ -709,17 +721,29 @@ mod tests {
     }
 
     #[test]
-    fn text_corruption_into_a_reused_buffer_matches_a_fresh_one() {
+    fn text_corrupted_piece_by_piece_matches_the_whole_text() {
         let text = "00:00:01.000 MM5G State = REGISTERED\n\
-                    00:00:02.000 Throughput = 1.5 Mbps\n\
-                    00:00:03.000 Throughput = 2.5 Mbps\n";
-        let mut out = "stale text from an earlier capture\n".repeat(8);
-        for (cfg, seed) in [(ChaosConfig::destroy(), 1), (ChaosConfig::default(), 2)] {
-            let (fresh, manifest) = chaos_text(text, &cfg, seed);
-            let mut engine = ChaosEngine::new(cfg, seed);
-            engine.corrupt_text_into(text, &mut out);
-            assert_eq!(out, fresh);
-            assert_eq!(engine.into_manifest(), manifest);
+                    00:00:02.000 NR5G RRC OTA Packet -- BCCH_BCH / MIB\n  \
+                    Physical Cell ID = 393, NR Cell Global ID = 0, Freq = 521310\n\
+                    00:00:03.000 Throughput = 2.5 Mbps\n\
+                    00:00:04.000 Throughput = 3.5 Mbps\n\
+                    00:00:05.000 MM5G State = DEREGISTERED\n";
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let heavy = ChaosConfig::default().with_intensity(30.0);
+        for (cfg, seed) in [(ChaosConfig::destroy(), 1), (heavy, 2)] {
+            let (whole, manifest) = chaos_text(text, &cfg, seed);
+            // Every injection past the first line must be numbered by its
+            // place in the whole text, not in its piece.
+            assert!(manifest.injections.iter().any(|inj| inj.at >= 3));
+            for size in 1..=lines.len() {
+                let mut engine = ChaosEngine::new(cfg.clone(), seed);
+                let mut out = String::new();
+                for piece in lines.chunks(size) {
+                    engine.corrupt_text_piece(&piece.concat(), &mut out);
+                }
+                assert_eq!(out, whole, "pieces of {size} lines");
+                assert_eq!(engine.into_manifest(), manifest, "pieces of {size} lines");
+            }
         }
     }
 
