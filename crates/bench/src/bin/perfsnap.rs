@@ -46,9 +46,11 @@
 //! windows on shared machines.
 //!
 //! The snapshot schema (`perfsnap/v2`) is one JSON object with a
-//! `machine` block (the CPU model `/proc/cpuinfo` names and
-//! `available_parallelism`: wall numbers compare only between snapshots
-//! of one machine; `--check` does not read it) and a `workloads` array;
+//! `machine` block (the CPU model `/proc/cpuinfo` names,
+//! `available_parallelism` and the `rustc --version` line of the compiler
+//! that built perfsnap: wall numbers compare only between snapshots of
+//! one machine and toolchain; `--check` does not read it) and a
+//! `workloads` array;
 //! each entry carries `events`, `bytes`, `wall_ms`,
 //! `events_per_sec`, `bytes_per_sec`, `allocs`, `allocs_per_event`,
 //! `repetitions`, and — with `--check` — the baseline's numbers under
@@ -206,6 +208,9 @@ struct Machine {
     cpu: String,
     /// `std::thread::available_parallelism`, 1 when it cannot be read.
     parallelism: usize,
+    /// The `rustc --version` line of the compiler that built perfsnap,
+    /// captured by the crate's build script, or `"unknown"`.
+    rustc: &'static str,
 }
 
 impl Machine {
@@ -214,6 +219,7 @@ impl Machine {
         Machine {
             cpu: cpu_model(&cpuinfo).unwrap_or("unknown").to_string(),
             parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            rustc: env!("ONOFF_BENCH_RUSTC_VERSION"),
         }
     }
 }
@@ -443,9 +449,10 @@ fn render(
 ) -> String {
     let mut out = String::from("{\n  \"schema\": \"perfsnap/v2\",\n");
     out.push_str(&format!(
-        "  \"machine\": {{\"cpu\": {}, \"available_parallelism\": {}}},\n",
+        "  \"machine\": {{\"cpu\": {}, \"available_parallelism\": {}, \"rustc\": {}}},\n",
         serde_json::to_string(&machine.cpu).expect("a string serializes"),
         machine.parallelism,
+        serde_json::to_string(machine.rustc).expect("a string serializes"),
     ));
     out.push_str(&format!(
         "  \"store\": {{\"text_bytes\": {}, \"binary_bytes\": {}, \"compression_ratio\": {:.3}}},\n",
@@ -614,8 +621,8 @@ fn main() {
 
     let machine = Machine::detect();
     eprintln!(
-        "{:>15}: {} x{}",
-        "machine", machine.cpu, machine.parallelism
+        "{:>15}: {} x{}, {}",
+        "machine", machine.cpu, machine.parallelism, machine.rustc
     );
     let (results, info) = measure();
     for (name, s) in &results {
@@ -743,6 +750,7 @@ mod tests {
         let machine = Machine {
             cpu: "Model \"X\" 9".to_string(),
             parallelism: 2,
+            rustc: "rustc 1.80.0 (051478957 2024-07-21)",
         };
         let json = render(&snapshot(), STORE, &machine, &[]);
         let v: serde_json::Value = serde_json::from_str(&json).expect("the snapshot is JSON");
@@ -755,6 +763,13 @@ mod tests {
             block.get("available_parallelism").and_then(|n| n.as_f64()),
             Some(2.0)
         );
+        assert_eq!(
+            block.get("rustc").and_then(|r| r.as_str()),
+            Some("rustc 1.80.0 (051478957 2024-07-21)")
+        );
+        // The build script captured the compiler that built this test.
+        let rustc = Machine::detect().rustc;
+        assert!(rustc.starts_with("rustc "), "{rustc}");
     }
 
     #[test]

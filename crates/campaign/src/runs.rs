@@ -19,23 +19,29 @@
 //! [`Dataset`] is bitwise-identical for any worker count.
 //!
 //! With [`CampaignConfig::chaos`] set, chaos is a stage after the stream:
-//! the stepper renders the run's events to NSG text, which the worker keeps
-//! until the run's attempts finish. Each attempt walks that text in fixed
-//! line-aligned windows of about 32 KiB: a fresh seeded chaos engine
-//! corrupts each window into the worker's one window-sized dirty buffer,
-//! and the worker's pooled lossy parser takes it as the next piece,
-//! handing the survivors straight to the slot. No dirty copy of the
-//! capture and no parsed trace is ever held. The loss gate reads the
-//! parser's accounting once the text ends: a run whose loss stays out of
-//! bounds is retried with backoff and quarantined into the dataset's
-//! [`QuarantineReport`] once every attempt has failed, instead of aborting
-//! the campaign; a rejected attempt's slot state is discarded by the next
-//! attempt's reset. Retries reuse the rendered text, so a chaos run is
-//! simulated and rendered exactly once. A panic in the stages that see
-//! dirty input (corrupt → parse → analyze) fails only its attempt; the
-//! simulator sees no dirty input and is deterministic in the job seed, so
-//! a retry could never get past a panic there, and it aborts the campaign
-//! as it does in clean mode.
+//! the stepper streams the run's events into the worker's run log, which
+//! clones them into one pooled block of 128 events and seals each full
+//! block into store-encoded bytes (`onoff_store::encode_events`, about a
+//! seventh of the rendered text's size). The worker keeps that log until
+//! the run's attempts finish. Each attempt decodes the log block by block
+//! into the same pooled block and renders its events into one window of
+//! NSG text, handed on at the first event boundary past 32 KiB: a fresh
+//! seeded chaos engine corrupts each window into the worker's one
+//! window-sized dirty buffer, and the worker's pooled lossy parser takes it
+//! as the next piece, handing the survivors straight to the slot. Neither
+//! the rendered capture, nor a dirty copy of it, nor its parsed trace is
+//! ever held. The loss gate reads the parser's accounting once the log
+//! ends: a run whose loss stays out of bounds is retried with backoff and
+//! quarantined into the dataset's [`QuarantineReport`] once every attempt
+//! has failed, instead of aborting the campaign; a rejected attempt's slot
+//! state is discarded by the next attempt's reset. Retries reuse the log,
+//! so a chaos run is simulated exactly once and rendered once per attempt.
+//! A panic in the stages that see dirty input (corrupt → parse → analyze)
+//! fails only its attempt; the simulator sees no dirty input and is
+//! deterministic in the job seed, so a retry could never get past a panic
+//! there, and it aborts the campaign as it does in clean mode. Nor does a
+//! log that fails to decode: the worker wrote it, so that is a bug, not
+//! damage.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,7 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use onoff_detect::channel::{ChannelUsage, Merge, ScellModScan, ScellModStats};
 use onoff_detect::{RunAnalysis, TraceAnalyzer};
-use onoff_nsglog::{emit_event, ParseStats, RecoveringParser};
+use onoff_nsglog::{emit_event, ParseStats, RecoveringParser, RecoveryPolicy};
 use onoff_policy::{policy_for, DeviceProfile, Operator, OperatorPolicy, PhoneModel};
 use onoff_radio::noise::hash_words;
 use onoff_radio::{RadioTables, UeSampler};
@@ -54,6 +60,7 @@ use onoff_sim::recorder::Recorder;
 use onoff_sim::{
     ChaosConfig, ChaosEngine, MovementPath, PolicyTables, SimOutput, StepCtx, Stepper,
 };
+use onoff_store::{encode_events, StoreError, StoreReader};
 
 use crate::areas::{all_areas, Area};
 use crate::dataset::{location_predictions, CampaignStats, Dataset};
@@ -228,9 +235,10 @@ impl<'a> AreaTables<'a> {
 /// and the chaos stage's buffers. The recorder only holds the events of
 /// the run's last step or so, and the slot only its analyzer's state, so
 /// a clean worker's footprint does not grow with trace length (DESIGN.md
-/// §16). A chaos worker also keeps one rendered capture, which settles at
-/// the largest the worker has seen, plus a dirty window and a parser's
-/// open record whose sizes do not depend on the capture.
+/// §16). A chaos worker also keeps the run's store-encoded log, which
+/// settles at the largest the worker has seen, plus one block of events,
+/// a window of text, its dirty copy and a parser's open record, whose
+/// sizes do not depend on the run's length.
 #[derive(Default)]
 struct RunScratch {
     slot: Option<RunSlot>,
@@ -238,24 +246,92 @@ struct RunScratch {
     chaos: ChaosStage,
 }
 
-/// Size of a chaos window: each holds this many bytes of rendered capture
-/// and runs on to the end of the line its last byte is in.
+/// Size of a chaos window: each holds at least this many bytes of the
+/// rendered capture, up to the end of the event that reaches it.
 const CHAOS_WINDOW_BYTES: usize = 32 << 10;
 
-/// The end of the chaos window at the start of `rest`.
-fn window_end(rest: &str) -> usize {
-    rest.as_bytes()
-        .get(CHAOS_WINDOW_BYTES - 1..)
-        .and_then(|tail| tail.iter().position(|&b| b == b'\n'))
-        .map_or(rest.len(), |i| CHAOS_WINDOW_BYTES + i)
+/// Events per block of a chaos run log.
+const LOG_BLOCK_EVENTS: usize = 128;
+
+/// A run's events as store-encoded blocks: what a chaos worker keeps of
+/// the run while its attempts last, in place of its rendered text.
+#[derive(Default)]
+struct RunLog {
+    /// The sealed blocks, back to back, each one [`encode_events`] output.
+    bytes: Vec<u8>,
+    /// Where each sealed block ends in `bytes`.
+    ends: Vec<usize>,
+    /// The block filling while the run streams; rendering decodes each
+    /// sealed block into it in turn.
+    block: Vec<TraceEvent>,
 }
 
-/// A chaos worker's buffers: the run's rendered capture, kept until its
-/// attempts finish, one window of it corrupted, and the pooled lossy
-/// parser that reads the corrupted windows.
+impl RunLog {
+    /// Empties the log for the next run, keeping its buffers.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+        self.block.clear();
+    }
+
+    /// Appends the run's next event, sealing the block once it is full.
+    fn push(&mut self, ev: &TraceEvent) {
+        self.block.push(ev.clone());
+        if self.block.len() == LOG_BLOCK_EVENTS {
+            self.seal();
+        }
+    }
+
+    /// Seals the events pushed since the last seal into a block.
+    fn seal(&mut self) {
+        if !self.block.is_empty() {
+            self.bytes.extend_from_slice(&encode_events(&self.block));
+            self.ends.push(self.bytes.len());
+            self.block.clear();
+        }
+    }
+
+    /// Renders the sealed log to NSG text, the text `emit` gives for the
+    /// run's events, one `window` at a time: a window goes to `piece` at
+    /// the first event boundary at or past [`CHAOS_WINDOW_BYTES`], and
+    /// whatever is left at the end of the log. Every window ends a line.
+    fn render(
+        &mut self,
+        window: &mut String,
+        mut piece: impl FnMut(&str),
+    ) -> Result<(), StoreError> {
+        window.clear();
+        let mut start = 0;
+        for &end in &self.ends {
+            StoreReader::new(&self.bytes[start..end])?
+                .read_all_into(RecoveryPolicy::FailFast, &mut self.block)?;
+            for ev in &self.block {
+                emit_event(ev, window).expect("fmt::Write to a String is infallible");
+                if window.len() >= CHAOS_WINDOW_BYTES {
+                    piece(window);
+                    window.clear();
+                }
+            }
+            start = end;
+        }
+        if !window.is_empty() {
+            piece(window);
+        }
+        Ok(())
+    }
+}
+
+/// An attempt's outcome: the accepted attempt's parse stats, record and
+/// analysis, or why the attempt failed.
+type Attempt = Result<(ParseStats, RunRecord, RunAnalysis), String>;
+
+/// A chaos worker's buffers: the run's log, kept until its attempts
+/// finish, one window of the rendered log and its corruption, and the
+/// pooled lossy parser that reads the corrupted windows.
 #[derive(Default)]
 struct ChaosStage {
-    text: String,
+    log: RunLog,
+    window: String,
     dirty: String,
     /// Built at the worker's first chaos attempt, under the campaign's
     /// recovery policy.
@@ -263,13 +339,18 @@ struct ChaosStage {
 }
 
 impl ChaosStage {
-    /// The chaos stage over the rendered text. Up to `max_attempts` times,
-    /// corrupts the text window by window with the attempt's chaos seed,
-    /// re-parses each window lossily into `slot`, and — when the loss over
-    /// the whole text stays in bounds — builds the record. Returns the
-    /// attempts made, with the accepted attempt's parse stats, record and
-    /// analysis or the last attempt's failure reason (excessive loss, or
-    /// a panic in these stages).
+    /// The chaos stage over the run's log. Up to `max_attempts` times,
+    /// renders the log window by window, corrupts each window with the
+    /// attempt's chaos seed, re-parses it lossily into `slot`, and — when
+    /// the loss over the whole log stays in bounds — builds the record.
+    /// Returns the attempts made, with the accepted attempt's parse stats,
+    /// record and analysis or the last attempt's failure reason
+    /// (excessive loss, or a panic in these stages).
+    ///
+    /// # Panics
+    ///
+    /// When the log does not decode: the worker encoded it, so a broken
+    /// log is a bug, like a simulator panic, not a run to quarantine.
     fn run(
         &mut self,
         slot: &mut RunSlot,
@@ -277,7 +358,7 @@ impl ChaosStage {
         job: &Job,
         device: PhoneModel,
         opts: &ChaosOptions,
-    ) -> (u32, Result<(ParseStats, RunRecord, RunAnalysis), String>) {
+    ) -> (u32, Attempt) {
         let (area, policy) = (shared.area, &shared.policy);
         // Whether the job is poisoned doesn't change between attempts, so
         // the chaos config is picked (and the destroy config materialized)
@@ -294,7 +375,8 @@ impl ChaosStage {
             &opts.chaos
         };
         let ChaosStage {
-            text,
+            log,
+            window,
             dirty,
             parser,
         } = self;
@@ -309,39 +391,40 @@ impl ChaosStage {
             }
             // Fresh fault pattern per attempt, reproducible from the job.
             let chaos_seed = hash_words(&[job.seed, u64::from(attempt), 0xC4A05]);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let caught = catch_unwind(AssertUnwindSafe(|| -> Result<Attempt, StoreError> {
                 let mut engine = ChaosEngine::new(chaos_cfg.clone(), chaos_seed);
                 // Analyze the *surviving* events: the record, like every
                 // other counter, reflects what an analyst reading the dirty
                 // capture would see.
                 slot.start(area.operator, policy);
-                let mut rest = text.as_str();
-                while !rest.is_empty() {
-                    let (window, next) = rest.split_at(window_end(rest));
+                log.render(window, |piece| {
                     dirty.clear();
-                    engine.corrupt_text_piece(window, dirty);
+                    engine.corrupt_text_piece(piece, dirty);
                     parser.push(dirty, |ev| slot.feed(&ev));
-                    rest = next;
-                }
+                })?;
                 let stats = parser.finish(|ev| slot.feed(&ev));
                 if stats.loss_ratio() > opts.max_loss_ratio {
-                    return Err(format!(
+                    return Ok(Err(format!(
                         "loss ratio {:.2} exceeds {:.2}",
                         stats.loss_ratio(),
                         opts.max_loss_ratio
-                    ));
+                    )));
                 }
                 let (record, analysis) = slot.finish(&area.name, job.location, device, job.seed);
-                Ok((stats, record, analysis))
-            }))
-            .unwrap_or_else(|_| {
-                // The panic may have left the parser inside a text.
-                *parser = RecoveringParser::new(opts.policy);
-                Err("pipeline panicked".to_string())
-            });
-            match outcome {
-                Ok(accepted) => return (attempt, Ok(accepted)),
-                Err(reason) => last_reason = reason,
+                Ok(Ok((stats, record, analysis)))
+            }));
+            match caught {
+                Ok(Ok(Ok(accepted))) => return (attempt, Ok(accepted)),
+                Ok(Ok(Err(reason))) => last_reason = reason,
+                Ok(Err(e)) => panic!(
+                    "the chaos log of {} location {} (seed {:#x}) does not decode: {e}",
+                    area.name, job.location, job.seed
+                ),
+                Err(_) => {
+                    // The panic may have left the parser inside a text.
+                    *parser = RecoveringParser::new(opts.policy);
+                    last_reason = "pipeline panicked".to_string();
+                }
             }
         }
         (attempts, Err(last_reason))
@@ -455,7 +538,7 @@ impl Aggregates {
     /// `RunSlot` — analyzer and scorer included — is reset between runs
     /// instead of rebuilt. In clean mode the stepper streams the run's
     /// events straight into the slot; in chaos mode it streams them into
-    /// the chaos stage's text, and the chaos stage then feeds the slot
+    /// the chaos stage's log, and the chaos stage then feeds the slot
     /// what survives. Either way the slot sees the events in exactly the
     /// order a collected trace holds them, so the dataset is
     /// bitwise-identical at any worker count.
@@ -482,11 +565,10 @@ impl Aggregates {
                 self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
             }
             Some(opts) => {
-                let text = &mut chaos.text;
-                text.clear();
-                *rec = stepper.stream(std::mem::take(rec), |ev| {
-                    emit_event(ev, text).expect("fmt::Write to a String is infallible")
-                });
+                let log = &mut chaos.log;
+                log.clear();
+                *rec = stepper.stream(std::mem::take(rec), |ev| log.push(ev));
+                log.seal();
                 let (attempts, outcome) = chaos.run(slot, shared, job, cfg.device, opts);
                 self.attempts += attempts as usize;
                 match outcome {
@@ -733,6 +815,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Dataset {
 mod tests {
     use super::*;
     use crate::areas::area_a1;
+    use onoff_policy::FivegMode;
 
     #[test]
     fn run_location_produces_a_record() {
@@ -754,26 +837,85 @@ mod tests {
         assert_eq!(r1, r2);
     }
 
+    /// One run of `shared`'s area streamed into a fresh log, as a chaos
+    /// worker keeps it.
+    fn logged_run(shared: &AreaTables<'_>, job: &Job, duration_ms: u64) -> RunLog {
+        let device = PhoneModel::OnePlus12R.profile();
+        let path = MovementPath::Stationary(shared.area.locations[job.location]);
+        let mut log = RunLog::default();
+        shared
+            .stepper(&device, &path, job.seed, duration_ms)
+            .stream(Recorder::new(), |ev| log.push(ev));
+        log.seal();
+        log
+    }
+
     #[test]
-    fn chaos_windows_are_whole_lines_that_cover_the_text() {
-        let line = "00:00:01.000 Throughput = 1.5 Mbps\n";
-        let text = line.repeat(3 * CHAOS_WINDOW_BYTES / line.len() + 7);
-        let mut windows = Vec::new();
-        let mut rest = text.as_str();
-        while !rest.is_empty() {
-            let (window, next) = rest.split_at(window_end(rest));
-            windows.push(window);
-            rest = next;
+    fn windows_rendered_from_the_log_are_the_runs_text() {
+        let cfg = CampaignConfig {
+            runs_a1: 1,
+            runs_other: 1,
+            duration_ms: 120_000,
+            ..CampaignConfig::default()
+        };
+        let areas = all_areas(cfg.seed);
+        let mut modes = Vec::new();
+        let (mut several_windows, mut several_blocks, mut partial_block) = (false, false, false);
+        let mut window = String::new();
+        for job in enumerate_jobs(&areas, &cfg)
+            .iter()
+            .filter(|j| j.location == 0)
+        {
+            let area = &areas[job.area_idx];
+            let shared = AreaTables::new(area, policy_for(area.operator));
+            let mut log = logged_run(&shared, job, cfg.duration_ms);
+            let (_, out, _) = run_location(area, 0, cfg.device, job.seed, cfg.duration_ms);
+
+            let mut windows = Vec::new();
+            log.render(&mut window, |w| windows.push(w.to_string()))
+                .expect("the log decodes");
+            assert_eq!(windows.concat(), out.to_log(), "{}", area.name);
+            for (i, w) in windows.iter().enumerate() {
+                assert!(w.ends_with('\n'), "{} window {i}", area.name);
+                if i + 1 < windows.len() {
+                    assert!(w.len() >= CHAOS_WINDOW_BYTES, "{} window {i}", area.name);
+                }
+            }
+            modes.push(shared.policy.mode);
+            several_windows |= windows.len() > 1;
+            several_blocks |= log.ends.len() > 1;
+            partial_block |= out.events.len() % LOG_BLOCK_EVENTS != 0;
         }
-        assert_eq!(windows.concat(), text);
-        assert_eq!(windows.len(), 4);
-        for window in &windows[..3] {
-            assert!(window.ends_with('\n'));
-            assert!((CHAOS_WINDOW_BYTES..CHAOS_WINDOW_BYTES + line.len()).contains(&window.len()));
-        }
-        // A short tail, newline-terminated or not, is one window.
-        assert_eq!(window_end("a\nb"), 3);
-        assert_eq!(window_end(""), 0);
+        assert_eq!(modes.len(), areas.len());
+        assert!(modes.contains(&FivegMode::Sa) && modes.contains(&FivegMode::Nsa));
+        assert!(several_windows && several_blocks && partial_block);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not decode")]
+    fn a_log_that_does_not_decode_panics_out_of_the_chaos_stage() {
+        let area = area_a1(42);
+        let shared = AreaTables::new(&area, policy_for(area.operator));
+        let job = Job {
+            area_idx: 0,
+            location: 0,
+            seed: 7,
+        };
+        let mut stage = ChaosStage {
+            log: logged_run(&shared, &job, 60_000),
+            ..ChaosStage::default()
+        };
+        assert!(stage.log.ends.len() > 1);
+        // One flipped bit in the last block: the attempt has already
+        // pushed the earlier blocks' windows when it reaches it.
+        *stage.log.bytes.last_mut().expect("a non-empty log") ^= 1;
+        let mut slot = RunSlot::new(area.operator, &shared.policy);
+        let opts = ChaosOptions {
+            backoff_base_ms: 0,
+            ..ChaosOptions::default()
+        };
+        let (attempts, _) = stage.run(&mut slot, &shared, &job, PhoneModel::OnePlus12R, &opts);
+        unreachable!("the stage returned after {attempts} attempts");
     }
 
     #[test]

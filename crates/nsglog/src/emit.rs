@@ -8,7 +8,7 @@
 //! 273, absoluteFrequencySSB 387410}}` — we normalise NSG's `physCellld`
 //! OCR-ism to `physCellId`).
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::io;
 
 use onoff_rrc::events::{EventKind, MeasEvent, TriggerQuantity};
@@ -174,11 +174,21 @@ fn emit_rrc<W: fmt::Write>(rec: &LogRecord, out: &mut W) -> fmt::Result {
             if let Some(trigger) = &report.trigger {
                 writeln!(out, "  trigger = {trigger}")?;
             }
-            writeln!(out, "  measResults {{")?;
+            out.write_str("  measResults {\n")?;
             for r in &report.results {
-                writeln!(out, "    {}: {} {}", r.cell, r.meas.rsrp, r.meas.rsrq)?;
+                // `{cell}: {rsrp} {rsrq}`, formatted by hand: rows are
+                // most of a capture's bytes.
+                out.write_str("    ")?;
+                write_uint(out, u64::from(r.cell.pci.0))?;
+                out.write_char('@')?;
+                write_uint(out, u64::from(r.cell.arfcn))?;
+                out.write_str(": ")?;
+                write_tenths(out, r.meas.rsrp.deci())?;
+                out.write_str("dBm ")?;
+                write_tenths(out, r.meas.rsrq.deci())?;
+                out.write_str("dB\n")?;
             }
-            writeln!(out, "  }}")?;
+            out.write_str("  }\n")?;
         }
         RrcMessage::ScgFailureInformation { failure } => {
             writeln!(out, "  failureType = {}", failure.asn1())?;
@@ -206,21 +216,23 @@ fn emit_reconfig<W: fmt::Write>(body: &ReconfigBody, out: &mut W) -> fmt::Result
         }
         writeln!(out, "  }}")?;
     }
-    if !body.scell_to_release.is_empty() {
-        let list = body
-            .scell_to_release
-            .iter()
-            .map(u8::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        writeln!(out, "  sCellToReleaseList {{{list}}}")?;
+    if let Some((first, rest)) = body.scell_to_release.split_first() {
+        out.write_str("  sCellToReleaseList {")?;
+        write_uint(out, u64::from(*first))?;
+        for index in rest {
+            out.write_str(", ")?;
+            write_uint(out, u64::from(*index))?;
+        }
+        out.write_str("}\n")?;
     }
     if !body.meas_config.is_empty() {
-        writeln!(out, "  measConfig {{")?;
+        out.write_str("  measConfig {\n")?;
         for ev in &body.meas_config {
-            writeln!(out, "    {}", render_event(ev))?;
+            out.write_str("    ")?;
+            write_event(ev, out)?;
+            out.write_char('\n')?;
         }
-        writeln!(out, "  }}")?;
+        out.write_str("  }\n")?;
     }
     if let Some(sp) = body.sp_cell {
         writeln!(
@@ -242,75 +254,99 @@ fn emit_reconfig<W: fmt::Write>(body: &ReconfigBody, out: &mut W) -> fmt::Result
     Ok(())
 }
 
-/// Renders one measurement-event config line, the parser's dual of
+/// Writes one measurement-event config line, the parser's dual of
 /// [`crate::parse::parse_event_line`].
-pub(crate) fn render_event(ev: &MeasEvent) -> String {
+fn write_event<W: fmt::Write>(ev: &MeasEvent, out: &mut W) -> fmt::Result {
     let (q, unit) = match ev.quantity {
         TriggerQuantity::Rsrp => ("RSRP", "dBm"),
         TriggerQuantity::Rsrq => ("RSRQ", "dB"),
     };
-    let mut s = match ev.kind {
-        EventKind::A1 { threshold } => {
-            format!(
-                "A1 event on {}: {q} > {}{unit}",
-                ev.arfcn,
-                deci(threshold.0)
-            )
+    // The first inequality, and the second of the two-threshold events.
+    let (relation, value, above) = match ev.kind {
+        EventKind::A1 { threshold } | EventKind::A4 { threshold } | EventKind::B1 { threshold } => {
+            (" > ", threshold.0, None)
         }
-        EventKind::A2 { threshold } => {
-            format!(
-                "A2 event on {}: {q} < {}{unit}",
-                ev.arfcn,
-                deci(threshold.0)
-            )
-        }
-        EventKind::A3 { offset } => {
-            format!(
-                "A3 event on {}: {q} offset > {}{unit}",
-                ev.arfcn,
-                deci(offset)
-            )
-        }
-        EventKind::A4 { threshold } => {
-            format!(
-                "A4 event on {}: {q} > {}{unit}",
-                ev.arfcn,
-                deci(threshold.0)
-            )
-        }
-        EventKind::A5 { t1, t2 } => format!(
-            "A5 event on {}: {q} < {}{unit} and {q} > {}{unit}",
-            ev.arfcn,
-            deci(t1.0),
-            deci(t2.0)
-        ),
-        EventKind::B1 { threshold } => {
-            format!(
-                "B1 event on {}: {q} > {}{unit}",
-                ev.arfcn,
-                deci(threshold.0)
-            )
-        }
-        EventKind::B2 { t1, t2 } => format!(
-            "B2 event on {}: {q} < {}{unit} and {q} > {}{unit}",
-            ev.arfcn,
-            deci(t1.0),
-            deci(t2.0)
-        ),
+        EventKind::A2 { threshold } => (" < ", threshold.0, None),
+        EventKind::A3 { offset } => (" offset > ", offset, None),
+        EventKind::A5 { t1, t2 } | EventKind::B2 { t1, t2 } => (" < ", t1.0, Some(t2.0)),
     };
-    if ev.hysteresis != 0 {
-        let _ = write!(s, ", hys {}{unit}", deci(ev.hysteresis));
+    out.write_str(ev.kind.label())?;
+    out.write_str(" event on ")?;
+    write_uint(out, u64::from(ev.arfcn))?;
+    out.write_str(": ")?;
+    out.write_str(q)?;
+    out.write_str(relation)?;
+    write_deci(out, value)?;
+    out.write_str(unit)?;
+    if let Some(t2) = above {
+        out.write_str(" and ")?;
+        out.write_str(q)?;
+        out.write_str(" > ")?;
+        write_deci(out, t2)?;
+        out.write_str(unit)?;
     }
+    if ev.hysteresis != 0 {
+        out.write_str(", hys ")?;
+        write_deci(out, ev.hysteresis)?;
+        out.write_str(unit)?;
+    }
+    Ok(())
+}
+
+/// [`write_event`] into a fresh `String`.
+#[cfg(test)]
+pub(crate) fn render_event(ev: &MeasEvent) -> String {
+    let mut s = String::new();
+    write_event(ev, &mut s).expect("fmt::Write to a String is infallible");
     s
 }
 
-/// Deci-dB fixed point → shortest decimal text ("-156", "-108.5").
-pub(crate) fn deci(v: i32) -> String {
+/// Writes deci-dB fixed point as its shortest decimal text ("-156",
+/// "-108.5").
+fn write_deci<W: fmt::Write>(out: &mut W, v: i32) -> fmt::Result {
     if v % 10 == 0 {
-        format!("{}", v / 10)
+        if v < 0 {
+            out.write_char('-')?;
+        }
+        write_uint(out, u64::from(v.unsigned_abs() / 10))
     } else {
-        format!("{:.1}", v as f64 / 10.0)
+        write_tenths(out, v)
     }
+}
+
+/// [`write_deci`] into a fresh `String`.
+#[cfg(test)]
+fn deci(v: i32) -> String {
+    let mut s = String::new();
+    write_deci(&mut s, v).expect("fmt::Write to a String is infallible");
+    s
+}
+
+/// Writes deci-units with exactly one decimal ("-80.0", "-0.5"), as the
+/// `Rsrp`/`Rsrq` `Display` impls do.
+fn write_tenths<W: fmt::Write>(out: &mut W, v: i32) -> fmt::Result {
+    let a = v.unsigned_abs();
+    if v < 0 {
+        out.write_char('-')?;
+    }
+    write_uint(out, u64::from(a / 10))?;
+    out.write_char('.')?;
+    out.write_char(char::from(b'0' + (a % 10) as u8))
+}
+
+/// Writes `v` in decimal, without going through `fmt::Formatter`.
+fn write_uint<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"))
 }
 
 #[cfg(test)]
