@@ -1,17 +1,8 @@
 //! Serving-cell-set sequence extraction (the paper's Appendix B).
 //!
-//! Replays the RRC message stream and applies each procedure's effect on
-//! the [`ServingCellSet`]:
-//!
-//! * establishment / re-establishment → new MCG with the named PCell;
-//! * `RRCReconfiguration` → SCell add/release, PSCell change, SCG release,
-//!   handover — applied when the matching `Complete` arrives (a command the
-//!   UE never completes, e.g. a failed handover, changes nothing);
-//! * `RRCRelease` and MM `DEREGISTERED` → IDLE.
-//!
-//! NSA disambiguation: inside an LTE-RAT record, `sCellToAddModList`
-//! entries whose cells are NR belong to the SCG (EN-DC's
-//! `nr-SecondaryCellGroupConfig` carries them); LTE entries are MCG SCells.
+//! [`TimelineBuilder`] drives [`ServingReplay`] (`onoff-rrc`), the one
+//! replay of RRC procedures onto the [`ServingCellSet`], and records the
+//! set after every event that (re)set it.
 //!
 //! The output timeline is **compressed**: consecutive identical sets (by
 //! canonical key — membership + roles, not SCell indices) collapse into one
@@ -20,11 +11,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use onoff_rrc::ids::Rat;
-use onoff_rrc::messages::{ReconfigBody, RrcMessage};
 use onoff_rrc::perf::InlineVec;
-use onoff_rrc::serving::{CellRole, ConnState, ServingCellSet};
-use onoff_rrc::trace::{MmState, Timestamp, TraceEvent};
+use onoff_rrc::serving::{CellRole, ConnState, ServingCellSet, ServingReplay};
+use onoff_rrc::trace::{Timestamp, TraceEvent};
 
 /// One timeline sample: the serving set changed to `id` at `t`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,8 +115,9 @@ impl Interner {
     }
 }
 
-/// Incremental core of the cell-set replay: advances the serving-set state
-/// machine one [`TraceEvent`] at a time.
+/// Incremental core of the cell-set timeline: feeds each [`TraceEvent`] to
+/// a [`ServingReplay`] and interns the set after every event that (re)set
+/// it.
 ///
 /// [`extract_timeline`] is a thin batch driver over this builder; streaming
 /// callers ([`crate::StreamingAnalyzer`], campaign workers) feed it event by
@@ -137,11 +127,7 @@ impl Interner {
 pub struct TimelineBuilder {
     interner: Interner,
     samples: Vec<CsSample>,
-    cs: ServingCellSet,
-    /// Command awaiting its Complete: (record RAT, body).
-    pending: Option<(Rat, ReconfigBody)>,
-    /// PCell requested but not yet set up.
-    pending_pcell: Option<onoff_rrc::ids::CellId>,
+    replay: ServingReplay,
     end: Timestamp,
 }
 
@@ -164,9 +150,7 @@ impl TimelineBuilder {
         TimelineBuilder {
             interner: Interner::new(),
             samples,
-            cs: ServingCellSet::idle(),
-            pending: None,
-            pending_pcell: None,
+            replay: ServingReplay::new(),
             end: Timestamp(0),
         }
     }
@@ -181,15 +165,16 @@ impl TimelineBuilder {
             t: Timestamp(0),
             id: 0,
         });
-        self.cs = ServingCellSet::idle();
-        self.pending = None;
-        self.pending_pcell = None;
+        self.replay.reset();
         self.end = Timestamp(0);
     }
 
-    /// Interns the current set and appends a sample if it changed.
-    fn push(&mut self, t: Timestamp) -> Option<CsSample> {
-        let id = self.interner.intern(&self.cs);
+    /// Applies one event's effect on the serving set. Returns the sample
+    /// this event appended to the compressed timeline, if any.
+    pub fn feed(&mut self, ev: &TraceEvent) -> Option<CsSample> {
+        self.end = self.end.max(ev.t());
+        let t = self.replay.feed(ev)?;
+        let id = self.interner.intern(self.replay.serving());
         if self.samples.last().map(|s| s.id) == Some(id) {
             return None;
         }
@@ -198,58 +183,9 @@ impl TimelineBuilder {
         Some(sample)
     }
 
-    /// Applies one event's effect on the serving set. Returns the sample
-    /// this event appended to the compressed timeline, if any.
-    pub fn feed(&mut self, ev: &TraceEvent) -> Option<CsSample> {
-        self.end = self.end.max(ev.t());
-        match ev {
-            TraceEvent::Rrc(rec) => match &rec.msg {
-                RrcMessage::SetupRequest { cell, .. } => {
-                    self.pending_pcell = Some(*cell);
-                    self.pending = None;
-                    None
-                }
-                RrcMessage::SetupComplete => {
-                    let pcell = self.pending_pcell.take()?;
-                    self.cs = ServingCellSet::with_pcell(pcell);
-                    self.push(rec.t)
-                }
-                RrcMessage::Reconfiguration(body) => {
-                    self.pending = Some((rec.rat, body.clone()));
-                    None
-                }
-                RrcMessage::ReconfigurationComplete => {
-                    let (rat, body) = self.pending.take()?;
-                    apply_reconfig(&mut self.cs, rat, &body);
-                    self.push(rec.t)
-                }
-                RrcMessage::ReestablishmentRequest { .. } => {
-                    self.pending = None;
-                    self.cs.release_all();
-                    self.push(rec.t)
-                }
-                RrcMessage::ReestablishmentComplete { cell } => {
-                    self.cs = ServingCellSet::with_pcell(*cell);
-                    self.push(rec.t)
-                }
-                RrcMessage::Release => {
-                    self.pending = None;
-                    self.cs.release_all();
-                    self.push(rec.t)
-                }
-                _ => None,
-            },
-            TraceEvent::Mm {
-                t,
-                state: MmState::DeregisteredNoCellAvailable,
-            } => {
-                self.pending = None;
-                self.pending_pcell = None;
-                self.cs.release_all();
-                self.push(*t)
-            }
-            _ => None,
-        }
+    /// The serving set after the last event fed.
+    pub fn serving(&self) -> &ServingCellSet {
+        self.replay.serving()
     }
 
     /// Compressed samples appended so far.
@@ -313,41 +249,12 @@ pub fn extract_timeline(events: &[TraceEvent]) -> CsTimeline {
     builder.finish()
 }
 
-/// Applies a completed reconfiguration to the serving set.
-fn apply_reconfig(cs: &mut ServingCellSet, rat: Rat, body: &ReconfigBody) {
-    // Handover first: it resets the SCell configuration.
-    if let Some(target) = body.mobility_target {
-        let keep_scg = body.sp_cell.is_some();
-        cs.handover(target, keep_scg);
-        if let Some(sp) = body.sp_cell {
-            cs.set_pscell(sp);
-        }
-        return;
-    }
-    if body.scg_release {
-        cs.release_scg();
-    }
-    if let Some(sp) = body.sp_cell {
-        cs.set_pscell(sp);
-    }
-    for rel in &body.scell_to_release {
-        cs.release_mcg_scell(*rel);
-    }
-    for add in &body.scell_to_add_mod {
-        if rat == Rat::Lte && add.cell.rat == Rat::Nr {
-            cs.add_scg_scell(add.index, add.cell);
-        } else {
-            cs.add_mcg_scell(add.index, add.cell);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onoff_rrc::ids::{CellId, GlobalCellId, Pci};
-    use onoff_rrc::messages::ScellAddMod;
-    use onoff_rrc::trace::{LogChannel, LogRecord};
+    use onoff_rrc::ids::{CellId, GlobalCellId, Pci, Rat};
+    use onoff_rrc::messages::{ReconfigBody, RrcMessage, ScellAddMod};
+    use onoff_rrc::trace::{LogChannel, LogRecord, MmState};
 
     fn rrc(t: u64, rat: Rat, msg: RrcMessage) -> TraceEvent {
         TraceEvent::Rrc(LogRecord {

@@ -14,7 +14,8 @@
 //! ## Two layers: incremental cores, batch drivers
 //!
 //! Every analysis stage exists once, as an incremental state machine —
-//! [`cellset::TimelineBuilder`] (cell-set replay), the episode splitter
+//! [`cellset::TimelineBuilder`] (the cell-set timeline, over `onoff_rrc`'s
+//! serving-set replay), the episode splitter
 //! behind loop detection, and [`classify::OffClassifier`] (transition
 //! classification over a bounded evidence window). They are composed by
 //! [`stream::TraceAnalyzer`], whose `feed` is amortized O(1) per event.

@@ -71,8 +71,8 @@ pub struct TraceAnalyzer {
     /// Quarantine counters (`degraded_episodes` is filled on query).
     degradation: DegradationReport,
     /// Optional online loop-proneness scorer — fed the identical event
-    /// sequence the automata see, so batch and streaming predictions are
-    /// bitwise-identical by construction.
+    /// sequence the automata see, and the timeline's serving set, so batch
+    /// and streaming predictions are bitwise-identical by construction.
     scorer: Option<OnlineScorer>,
 }
 
@@ -113,24 +113,6 @@ impl TraceAnalyzer {
     /// from here on are scored; already-processed events are not replayed.
     pub fn enable_scoring(&mut self, config: ScoringConfig) {
         self.scorer = Some(OnlineScorer::new(config));
-    }
-
-    /// A core that adopts an existing scorer — typically one recovered via
-    /// [`take_scorer`](Self::take_scorer) and passed through
-    /// [`OnlineScorer::reset_session`], so batch drivers can reuse the
-    /// scorer's maps and reservoirs across runs instead of reallocating
-    /// them per run. `reset_session` is observationally identical to a
-    /// fresh scorer, so results cannot depend on the reuse.
-    pub fn with_scorer(scorer: OnlineScorer) -> TraceAnalyzer {
-        let mut a = TraceAnalyzer::new();
-        a.scorer = Some(scorer);
-        a
-    }
-
-    /// Removes and returns the scorer (disabling further scoring), so its
-    /// allocations can outlive this core.
-    pub fn take_scorer(&mut self) -> Option<OnlineScorer> {
-        self.scorer.take()
     }
 
     /// Returns the core to its freshly-constructed state while keeping
@@ -209,11 +191,6 @@ impl TraceAnalyzer {
         // The classifier sees the event before any transition it causes,
         // so the event itself counts as classification evidence.
         self.classifier.feed_event(ev);
-        // Scoring never reads timestamps, so the clamp in `feed` cannot
-        // make it diverge between orderly and quarantined feeds.
-        if let Some(scorer) = &mut self.scorer {
-            scorer.feed(ev);
-        }
         if let Some(sample) = self.timeline.feed(ev) {
             let prev_on = self.timeline.uses_5g(self.cur_sample.id);
             let on = self.timeline.uses_5g(sample.id);
@@ -237,6 +214,12 @@ impl TraceAnalyzer {
                 self.id_before_cur = self.cur_sample.id;
             }
             self.cur_sample = sample;
+        }
+        // The scorer reads the timeline's set, so each event is replayed
+        // once. Scoring never reads timestamps, so the clamp in `feed`
+        // cannot make it diverge between orderly and quarantined feeds.
+        if let Some(scorer) = &mut self.scorer {
+            scorer.feed_with_set(ev, self.timeline.serving());
         }
     }
 

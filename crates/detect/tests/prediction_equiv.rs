@@ -5,6 +5,7 @@
 //! (bootstrap confidence intervals included).
 
 use onoff_detect::{analyze_trace_scored, ScoringConfig, StreamingAnalyzer, TraceAnalyzer};
+use onoff_predict::OnlineScorer;
 use onoff_rrc::ids::{CellId, GlobalCellId, Pci, Rat};
 use onoff_rrc::meas::Measurement;
 use onoff_rrc::messages::{MeasResult, MeasurementReport, ReconfigBody, RrcMessage, ScellAddMod};
@@ -156,9 +157,10 @@ proptest! {
         prop_assert_eq!(s.finish(), batch_analysis);
     }
 
-    /// The bare core fed one event at a time matches batch, and scoring
-    /// does not perturb the analysis itself (same RunAnalysis a plain
-    /// analyzer produces).
+    /// The bare core fed one event at a time matches batch, scoring does
+    /// not perturb the analysis itself (same RunAnalysis a plain analyzer
+    /// produces), and a standalone `OnlineScorer` fed the same events
+    /// reports the same predictions as the hosted one.
     #[test]
     fn scoring_is_a_pure_observer_of_the_analysis(
         script in prop::collection::vec((any::<u8>(), 0u64..3_000), 0..30),
@@ -172,7 +174,15 @@ proptest! {
         for ev in &events {
             core.feed(ev);
         }
-        prop_assert_eq!(core.predictions().expect("scoring enabled"), pred);
+        prop_assert_eq!(core.predictions().expect("scoring enabled"), pred.clone());
+
+        // A standalone scorer replays the serving set itself; the hosted
+        // one reads its analyzer's. Both must report the same.
+        let mut standalone = OnlineScorer::new(ScoringConfig::default());
+        for ev in &events {
+            standalone.feed(ev);
+        }
+        prop_assert_eq!(standalone.report(), pred);
     }
 
     /// Scores are probabilities and the report is internally consistent:

@@ -20,6 +20,11 @@
 //! * **counterfactual mitigation** — §7's remedies expressed as policy
 //!   transforms over recorded traces ([`mitigate`]), so their effect can be
 //!   measured by re-analysis instead of re-simulation.
+//!
+//! Both read the serving cell set off `onoff_rrc`'s
+//! [`ServingReplay`](onoff_rrc::serving::ServingReplay), the replay the
+//! detector's timeline runs, so predictions and remedies cannot drift from
+//! detection on how an RRC command reshapes the set.
 
 pub mod eval;
 pub mod mitigate;
@@ -34,6 +39,6 @@ pub use mitigate::{
     ScellOnlyRelease,
 };
 pub use model::{CellsetFeatures, LocationSample, ModelDomainError, S1Model, S1e3Model};
-pub use scoring::{CellPrediction, FeatureTracker, OnlineScorer, PredictionReport, ScoringConfig};
+pub use scoring::{CellPrediction, OnlineScorer, PredictionReport, ScoringConfig};
 pub use train::{train_s1, train_s1e3};
 pub use validate::{binned_curve, cross_validate_s1e3};

@@ -25,10 +25,9 @@
 
 use onoff_rrc::ids::CellId;
 use onoff_rrc::messages::{MeasurementReport, ReconfigBody, RrcMessage, Trigger};
-use onoff_rrc::perf::InlineVec;
+use onoff_rrc::perf::{FxMap, InlineVec};
+use onoff_rrc::serving::ServingReplay;
 use onoff_rrc::trace::{LogChannel, LogRecord, MmState, Timestamp, TraceEvent};
-
-use crate::scoring::FeatureTracker;
 
 /// How long after a completed SCell modification a deregistration is
 /// attributed to it (the recorded gap is tens of milliseconds).
@@ -80,7 +79,10 @@ fn rrc_event(t: Timestamp, template: &LogRecord, msg: RrcMessage) -> TraceEvent 
 /// **M1**: release only the offending SCell instead of collapsing the
 /// connection ("don't ruin all for one bad apple", F9).
 pub struct ScellOnlyRelease {
-    tracker: FeatureTracker,
+    /// The serving set of the rewritten trace.
+    replay: ServingReplay,
+    /// Latest reported RSRP per cell, deci-dBm.
+    rsrp: FxMap<CellId, i32>,
     /// Cells present in the last measurement report.
     last_report: InlineVec<CellId, 8>,
     /// Index swapped in by an in-flight SCell modification.
@@ -99,7 +101,8 @@ impl ScellOnlyRelease {
     /// A fresh M1 transform.
     pub fn new() -> ScellOnlyRelease {
         ScellOnlyRelease {
-            tracker: FeatureTracker::new(0, InlineVec::new()),
+            replay: ServingReplay::new(),
+            rsrp: FxMap::new(),
             last_report: InlineVec::new(),
             pending_mod: None,
             last_mod: None,
@@ -110,13 +113,12 @@ impl ScellOnlyRelease {
     /// report if any (S1E1's signature), else the weakest by last reported
     /// RSRP (S1E2's).
     fn offender(&self) -> Option<u8> {
-        let serving = self.tracker.serving();
         let mut weakest: Option<(u8, i32)> = None;
-        for (idx, cell) in serving.mcg.scells.iter() {
+        for (idx, cell) in self.replay.serving().mcg.scells.iter() {
             if !self.last_report.iter().any(|c| c == cell) {
                 return Some(*idx);
             }
-            let rsrp = self.tracker.last_rsrp_deci(*cell).unwrap_or(i32::MIN);
+            let rsrp = self.rsrp.get(cell).copied().unwrap_or(i32::MIN);
             if weakest.is_none_or(|(_, w)| rsrp < w) {
                 weakest = Some((*idx, rsrp));
             }
@@ -125,7 +127,7 @@ impl ScellOnlyRelease {
     }
 
     /// Emits the remedy action — one reconfiguration releasing exactly
-    /// `idx` — and advances the mirror through it.
+    /// `idx` — and advances the replay through it.
     fn release_single(
         &mut self,
         t: Timestamp,
@@ -142,14 +144,14 @@ impl ScellOnlyRelease {
             }),
         );
         let done = rrc_event(t, template, RrcMessage::ReconfigurationComplete);
-        self.tracker.feed(&cmd);
-        self.tracker.feed(&done);
+        self.replay.feed(&cmd);
+        self.replay.feed(&done);
         emit(cmd);
         emit(done);
     }
 
     fn pass(&mut self, ev: &TraceEvent, emit: &mut dyn FnMut(TraceEvent)) {
-        self.tracker.feed(ev);
+        self.replay.feed(ev);
         emit(ev.clone());
     }
 }
@@ -164,6 +166,9 @@ impl PolicyTransform for ScellOnlyRelease {
             TraceEvent::Rrc(rec) => match &rec.msg {
                 RrcMessage::MeasurementReport(rep) => {
                     self.last_report = rep.results.iter().map(|r| r.cell).collect();
+                    for r in rep.results.iter() {
+                        self.rsrp.insert(r.cell, r.meas.rsrp.deci());
+                    }
                     self.pass(ev, emit);
                 }
                 RrcMessage::Reconfiguration(body) => {
@@ -203,7 +208,7 @@ impl PolicyTransform for ScellOnlyRelease {
                     .last_mod
                     .take()
                     .filter(|(_, ct)| t.millis().saturating_sub(*ct) <= MOD_FAILURE_WINDOW_MS);
-                match (attributed, self.tracker.serving().pcell()) {
+                match (attributed, self.replay.serving().pcell()) {
                     (Some((idx, _)), Some(pcell)) => {
                         let template = LogRecord {
                             t: *t,
@@ -292,7 +297,8 @@ impl PolicyTransform for ScellModFix {
 /// becomes an SCG addition in place.
 pub struct KeepScgOnHandover {
     channel: u32,
-    tracker: FeatureTracker,
+    /// The serving set of the rewritten trace.
+    replay: ServingReplay,
     /// NR cell of the last B1 report (the SCG-addition candidate).
     last_b1: Option<CellId>,
 }
@@ -302,13 +308,13 @@ impl KeepScgOnHandover {
     pub fn new(channel: u32) -> KeepScgOnHandover {
         KeepScgOnHandover {
             channel,
-            tracker: FeatureTracker::new(0, InlineVec::new()),
+            replay: ServingReplay::new(),
             last_b1: None,
         }
     }
 
     fn pass(&mut self, ev: &TraceEvent, emit: &mut dyn FnMut(TraceEvent)) {
-        self.tracker.feed(ev);
+        self.replay.feed(ev);
         emit(ev.clone());
     }
 }
@@ -335,7 +341,7 @@ impl PolicyTransform for KeepScgOnHandover {
                 let Some(target) = body.mobility_target else {
                     return self.pass(ev, emit);
                 };
-                let serving = self.tracker.serving();
+                let serving = self.replay.serving();
                 let pcell_on_channel = serving.pcell().is_some_and(|p| p.arfcn == self.channel);
                 let involved = target.arfcn == self.channel || pcell_on_channel;
                 if involved && serving.scg.is_some() {
@@ -343,7 +349,7 @@ impl PolicyTransform for KeepScgOnHandover {
                     let mut kept = body.clone();
                     kept.sp_cell = serving.pscell();
                     let out = rrc_event(rec.t, rec, RrcMessage::Reconfiguration(kept));
-                    self.tracker.feed(&out);
+                    self.replay.feed(&out);
                     emit(out);
                 } else if pcell_on_channel && serving.scg.is_none() {
                     if let Some(nr) = self.last_b1 {
@@ -357,7 +363,7 @@ impl PolicyTransform for KeepScgOnHandover {
                                 ..Default::default()
                             }),
                         );
-                        self.tracker.feed(&out);
+                        self.replay.feed(&out);
                         emit(out);
                     } else {
                         self.pass(ev, emit);

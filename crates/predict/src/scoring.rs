@@ -1,23 +1,23 @@
 //! Online loop-proneness scoring: the §6 models evaluated incrementally
 //! over the same event stream the detector consumes.
 //!
-//! Two layers, mirroring the detect crate's incremental-core pattern:
+//! [`OnlineScorer`] keeps the latest reported RSRP of every cell. On every
+//! `MeasurementReport` taken while a PCell serves, it derives one
+//! [`CellsetFeatures`] for the serving combination, scores it with a
+//! configured [`S1Model`], and retains the score in a bounded per-PCell
+//! ring reservoir. Querying [`OnlineScorer::report`] produces per-cell
+//! loop-proneness with percentile-bootstrap confidence intervals
+//! ([`onoff_analysis::bootstrap`]), deterministically seeded per cell so
+//! reports are a pure function of the fed event sequence.
 //!
-//! * [`FeatureTracker`] — a per-session state machine that replays the
-//!   serving-cell-set effects of each [`TraceEvent`] (the same semantics as
-//!   the detector's timeline replay) and, on every `MeasurementReport`,
-//!   derives one [`CellsetFeatures`] for the currently-serving combination
-//!   from the latest per-cell RSRP table. The per-event path performs zero
-//!   heap allocations: pending reconfigurations are captured into inline
-//!   vectors (never cloning the `measConfig` list) and the measurement
-//!   table is an open-addressing [`FxMap`] that only grows on first sight
-//!   of a cell.
-//! * [`OnlineScorer`] — feeds a [`FeatureTracker`], scores each derived
-//!   feature vector with a configured [`S1Model`], and retains the scores
-//!   in bounded per-PCell ring reservoirs. Querying [`OnlineScorer::report`]
-//!   produces per-cell loop-proneness with percentile-bootstrap confidence
-//!   intervals ([`onoff_analysis::bootstrap`]), deterministically seeded
-//!   per cell so reports are a pure function of the fed event sequence.
+//! The serving set comes from [`ServingReplay`] (`onoff-rrc`), the one
+//! replay of RRC procedures. A scorer hosted in the detector's analyzer is
+//! handed the set the analyzer's timeline already keeps
+//! ([`OnlineScorer::feed_with_set`]), so each event is replayed once; a
+//! standalone scorer ([`OnlineScorer::feed`]) runs a replay of its own.
+//! The per-event path performs zero heap allocations: the replay holds a
+//! pending command inline, and the measurement table is an
+//! open-addressing [`FxMap`] that only grows on first sight of a cell.
 //!
 //! Because scoring depends only on the order of events (timestamps are
 //! never read), hosting the scorer inside the detect crate's batch and
@@ -27,10 +27,10 @@
 
 use onoff_analysis::bootstrap::{bootstrap_ci, ConfidenceInterval};
 use onoff_rrc::ids::{CellId, Rat};
-use onoff_rrc::messages::{ReconfigBody, RrcMessage, ScellAddMod};
+use onoff_rrc::messages::RrcMessage;
 use onoff_rrc::perf::{FxMap, InlineVec};
-use onoff_rrc::serving::ServingCellSet;
-use onoff_rrc::trace::{MmState, TraceEvent};
+use onoff_rrc::serving::{ServingCellSet, ServingReplay};
+use onoff_rrc::trace::TraceEvent;
 
 use crate::model::{CellsetFeatures, S1Model};
 
@@ -89,191 +89,61 @@ impl Default for ScoringConfig {
     }
 }
 
-/// The serving-set effects of a pending reconfiguration, captured without
-/// cloning the `measConfig` list (the one heap-owned field of
-/// [`ReconfigBody`] the serving set never reads). Inline capture keeps the
-/// per-event path allocation-free.
-#[derive(Debug, Clone, Default)]
-struct PendingReconfig {
-    add: InlineVec<ScellAddMod, 4>,
-    release: InlineVec<u8, 4>,
-    sp_cell: Option<CellId>,
-    scg_release: bool,
-    mobility_target: Option<CellId>,
-}
-
-impl PendingReconfig {
-    fn capture(body: &ReconfigBody) -> PendingReconfig {
-        PendingReconfig {
-            add: body.scell_to_add_mod.clone(),
-            release: body.scell_to_release.clone(),
-            sp_cell: body.sp_cell,
-            scg_release: body.scg_release,
-            mobility_target: body.mobility_target,
-        }
-    }
-
-    /// Applies the completed command — same semantics as the detector's
-    /// timeline replay (handover first, then SCG ops, releases, adds; NR
-    /// adds inside an LTE record join the SCG).
-    fn apply(&self, cs: &mut ServingCellSet, rat: Rat) {
-        if let Some(target) = self.mobility_target {
-            cs.handover(target, self.sp_cell.is_some());
-            if let Some(sp) = self.sp_cell {
-                cs.set_pscell(sp);
-            }
-            return;
-        }
-        if self.scg_release {
-            cs.release_scg();
-        }
-        if let Some(sp) = self.sp_cell {
-            cs.set_pscell(sp);
-        }
-        for rel in &self.release {
-            cs.release_mcg_scell(*rel);
-        }
-        for add in &self.add {
-            if rat == Rat::Lte && add.cell.rat == Rat::Nr {
-                cs.add_scg_scell(add.index, add.cell);
-            } else {
-                cs.add_mcg_scell(add.index, add.cell);
-            }
-        }
-    }
-}
-
-/// Incremental feature derivation: replays serving-set state and the latest
-/// per-cell RSRP, yielding one [`CellsetFeatures`] per measurement report
-/// while a PCell is serving. Zero heap allocations per event once every
+/// The latest reported RSRP per cell, and the §6 features it yields for a
+/// serving set it is handed. Zero heap allocations per event once every
 /// cell in the trace has been seen.
-pub struct FeatureTracker {
-    problem_arfcn: u32,
-    pcell_arfcns: InlineVec<u32, 8>,
-    serving: ServingCellSet,
-    pending: Option<(Rat, PendingReconfig)>,
-    pending_pcell: Option<CellId>,
+#[derive(Default)]
+struct FeatureTracker {
     /// Latest reported RSRP per cell, deci-dBm.
     meas: FxMap<CellId, i32>,
 }
 
 impl FeatureTracker {
-    /// A tracker in the IDLE state with an empty measurement table.
-    pub fn new(problem_arfcn: u32, pcell_arfcns: InlineVec<u32, 8>) -> FeatureTracker {
-        FeatureTracker {
-            problem_arfcn,
-            pcell_arfcns,
-            serving: ServingCellSet::idle(),
-            pending: None,
-            pending_pcell: None,
-            meas: FxMap::new(),
-        }
-    }
-
-    /// The current serving cell set.
-    pub fn serving(&self) -> &ServingCellSet {
-        &self.serving
-    }
-
-    /// The most recent reported RSRP of `cell`, deci-dBm.
-    pub fn last_rsrp_deci(&self, cell: CellId) -> Option<i32> {
-        self.meas.get(&cell).copied()
-    }
-
-    /// Resets session state (serving set, pending commands, measurement
-    /// table) while keeping the table's capacity, so re-scoring a trace of
-    /// the same cells allocates nothing.
-    pub fn reset(&mut self) {
-        self.serving = ServingCellSet::idle();
-        self.pending = None;
-        self.pending_pcell = None;
-        self.meas.clear();
-    }
-
-    /// Advances the state machine with one event. Returns the serving PCell
-    /// and derived features when the event is a measurement report and a
+    /// Records a measurement report's RSRPs. Returns the serving PCell and
+    /// the derived features when the event is a measurement report and a
     /// PCell is serving — the scoring cadence.
-    pub fn feed(&mut self, ev: &TraceEvent) -> Option<(CellId, CellsetFeatures)> {
-        match ev {
-            TraceEvent::Rrc(rec) => match &rec.msg {
-                RrcMessage::SetupRequest { cell, .. } => {
-                    self.pending_pcell = Some(*cell);
-                    self.pending = None;
-                    None
-                }
-                RrcMessage::SetupComplete => {
-                    if let Some(pcell) = self.pending_pcell.take() {
-                        self.serving = ServingCellSet::with_pcell(pcell);
-                    }
-                    None
-                }
-                RrcMessage::Reconfiguration(body) => {
-                    self.pending = Some((rec.rat, PendingReconfig::capture(body)));
-                    None
-                }
-                RrcMessage::ReconfigurationComplete => {
-                    if let Some((rat, body)) = self.pending.take() {
-                        body.apply(&mut self.serving, rat);
-                    }
-                    None
-                }
-                RrcMessage::ReestablishmentRequest { .. } => {
-                    self.pending = None;
-                    self.serving.release_all();
-                    None
-                }
-                RrcMessage::ReestablishmentComplete { cell } => {
-                    self.serving = ServingCellSet::with_pcell(*cell);
-                    None
-                }
-                RrcMessage::Release => {
-                    self.pending = None;
-                    self.serving.release_all();
-                    None
-                }
-                RrcMessage::MeasurementReport(report) => {
-                    for r in report.results.iter() {
-                        self.meas.insert(r.cell, r.meas.rsrp.deci());
-                    }
-                    let pcell = self.serving.pcell()?;
-                    Some((pcell, self.features(pcell)))
-                }
-                _ => None,
-            },
-            TraceEvent::Mm {
-                state: MmState::DeregisteredNoCellAvailable,
-                ..
-            } => {
-                self.pending = None;
-                self.pending_pcell = None;
-                self.serving.release_all();
-                None
-            }
-            _ => None,
+    fn feed(
+        &mut self,
+        ev: &TraceEvent,
+        serving: &ServingCellSet,
+        config: &ScoringConfig,
+    ) -> Option<(CellId, CellsetFeatures)> {
+        let TraceEvent::Rrc(rec) = ev else {
+            return None;
+        };
+        let RrcMessage::MeasurementReport(report) = &rec.msg else {
+            return None;
+        };
+        for r in report.results.iter() {
+            self.meas.insert(r.cell, r.meas.rsrp.deci());
         }
+        let pcell = serving.pcell()?;
+        Some((pcell, self.features(pcell, serving, config)))
     }
 
     fn rsrp_dbm(&self, cell: CellId) -> Option<f64> {
         self.meas.get(&cell).map(|deci| f64::from(*deci) / 10.0)
     }
 
-    fn pcell_capable(&self, arfcn: u32) -> bool {
-        self.pcell_arfcns.is_empty() || self.pcell_arfcns.contains(&arfcn)
-    }
-
-    /// Serving SCells of both cell groups (the S1 features' subjects).
-    fn serving_scells(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.serving.mcg.scells.values().copied().chain(
-            self.serving
-                .scg
-                .iter()
-                .flat_map(|g| g.scells.values().copied()),
-        )
-    }
-
-    /// Derives the §6 features of the currently-serving combination from
-    /// the latest measurement table. Allocation-free.
-    fn features(&self, pcell: CellId) -> CellsetFeatures {
+    /// Derives the §6 features of the serving combination from the latest
+    /// measurement table. Allocation-free.
+    fn features(
+        &self,
+        pcell: CellId,
+        serving: &ServingCellSet,
+        config: &ScoringConfig,
+    ) -> CellsetFeatures {
+        let pcell_capable =
+            |arfcn| config.pcell_arfcns.is_empty() || config.pcell_arfcns.contains(&arfcn);
+        // Serving SCells of both cell groups (the S1 features' subjects).
+        let serving_scells = || {
+            serving
+                .mcg
+                .scells
+                .values()
+                .copied()
+                .chain(serving.scg.iter().flat_map(|g| g.scells.values().copied()))
+        };
         let pc_rsrp = self.rsrp_dbm(pcell);
 
         // Δᵖ: serving PCell over the best measured rival anchor.
@@ -281,7 +151,7 @@ impl FeatureTracker {
             Some(pc) => {
                 let mut best = f64::NEG_INFINITY;
                 for (cell, deci) in self.meas.iter() {
-                    if *cell == pcell || cell.rat != pcell.rat || !self.pcell_capable(cell.arfcn) {
+                    if *cell == pcell || cell.rat != pcell.rat || !pcell_capable(cell.arfcn) {
                         continue;
                     }
                     best = best.max(f64::from(*deci) / 10.0);
@@ -297,9 +167,7 @@ impl FeatureTracker {
 
         // Δˢ: the serving SCell on the problem channel against its best
         // measured co-channel rival, gated by the RAN's swap window.
-        let target = self
-            .serving_scells()
-            .find(|c| c.arfcn == self.problem_arfcn);
+        let target = serving_scells().find(|c| c.arfcn == config.problem_arfcn);
         let scell_gap_db = match target.and_then(|t| self.rsrp_dbm(t).map(|r| (t, r))) {
             Some((t, serving_rsrp)) => {
                 let mut rival = f64::NEG_INFINITY;
@@ -324,7 +192,7 @@ impl FeatureTracker {
 
         // Worst measured serving SCell; PCell as fallback subject.
         let mut worst = f64::INFINITY;
-        for c in self.serving_scells() {
+        for c in serving_scells() {
             if let Some(r) = self.rsrp_dbm(c) {
                 worst = worst.min(r);
             }
@@ -424,12 +292,15 @@ fn cell_word(cell: CellId) -> u64 {
     (rat << 63) | (u64::from(cell.pci.0) << 40) | u64::from(cell.arfcn)
 }
 
-/// The incremental scorer: [`FeatureTracker`] + model + bounded per-cell
-/// reservoirs. `feed` is allocation-free once the trace's cells have been
+/// The incremental scorer: last-RSRP table + model + bounded per-cell
+/// reservoirs. Feeding is allocation-free once the trace's cells have been
 /// seen; [`OnlineScorer::reset_session`] clears state while keeping every
 /// capacity, so re-scoring a same-shaped trace allocates nothing at all.
 pub struct OnlineScorer {
     config: ScoringConfig,
+    /// The serving-set replay of a standalone feed ([`OnlineScorer::feed`]);
+    /// a hosted scorer reads its host's set and leaves this IDLE.
+    replay: ServingReplay,
     tracker: FeatureTracker,
     reservoirs: FxMap<CellId, Reservoir>,
     scored: u64,
@@ -439,10 +310,10 @@ pub struct OnlineScorer {
 impl OnlineScorer {
     /// A scorer with the given configuration.
     pub fn new(config: ScoringConfig) -> OnlineScorer {
-        let tracker = FeatureTracker::new(config.problem_arfcn, config.pcell_arfcns.clone());
         OnlineScorer {
             config,
-            tracker,
+            replay: ServingReplay::new(),
+            tracker: FeatureTracker::default(),
             reservoirs: FxMap::new(),
             scored: 0,
             score_sum: 0.0,
@@ -464,10 +335,28 @@ impl OnlineScorer {
         (self.scored > 0).then(|| self.score_sum / self.scored as f64)
     }
 
-    /// Advances the scorer with one event. Timestamps are never read, so
-    /// scoring is a pure function of the event order.
+    /// Advances the scorer with one event, replaying the serving set
+    /// itself. Timestamps are never read, so scoring is a pure function of
+    /// the event order.
     pub fn feed(&mut self, ev: &TraceEvent) {
-        if let Some((pcell, f)) = self.tracker.feed(ev) {
+        self.replay.feed(ev);
+        // The replay's set is borrowed beside the tracker, never copied.
+        let scored = self.tracker.feed(ev, self.replay.serving(), &self.config);
+        self.tally(scored);
+    }
+
+    /// Advances the scorer with one event whose effect on the serving set
+    /// the caller has already replayed: `serving` is the set after `ev`.
+    /// Only measurement reports are scored and they never change the set,
+    /// so this matches [`feed`](Self::feed) when the host keeps the same
+    /// replay.
+    pub fn feed_with_set(&mut self, ev: &TraceEvent, serving: &ServingCellSet) {
+        let scored = self.tracker.feed(ev, serving, &self.config);
+        self.tally(scored);
+    }
+
+    fn tally(&mut self, scored: Option<(CellId, CellsetFeatures)>) {
+        if let Some((pcell, f)) = scored {
             let p = self.config.model.predict(std::slice::from_ref(&f));
             self.scored += 1;
             self.score_sum += p;
@@ -483,7 +372,8 @@ impl OnlineScorer {
     /// contents, counters) while retaining every allocation, so the next
     /// session over the same cells runs with zero allocations per event.
     pub fn reset_session(&mut self) {
-        self.tracker.reset();
+        self.replay.reset();
+        self.tracker.meas.clear();
         for r in self.reservoirs.values_mut() {
             r.clear();
         }
@@ -531,7 +421,7 @@ mod tests {
     use super::*;
     use onoff_rrc::ids::{GlobalCellId, Pci};
     use onoff_rrc::meas::Measurement;
-    use onoff_rrc::messages::{MeasResult, MeasurementReport};
+    use onoff_rrc::messages::{MeasResult, MeasurementReport, ReconfigBody, ScellAddMod};
     use onoff_rrc::trace::{LogChannel, LogRecord, Timestamp};
 
     fn nr(pci: u16, arfcn: u32) -> CellId {

@@ -17,7 +17,8 @@
 //!   entering/leaving conditions per TS 36.331 / TS 38.331 §5.5.4,
 //! * the RRC message and procedure model ([`messages`], [`proc`]),
 //! * serving-cell-set bookkeeping ([`serving`]) — the `CS` objects whose
-//!   repeated subsequences define an ON-OFF loop, and
+//!   repeated subsequences define an ON-OFF loop, and the Appendix-B
+//!   replay of RRC procedures that keeps them, and
 //! * the signaling-trace record type ([`trace`]) shared by the log codec,
 //!   the simulator and the loop detector.
 //!
@@ -48,6 +49,6 @@ pub use messages::{
 };
 pub use perf::{FxMap, InlineVec, StrInterner, Symbol};
 pub use reselection::{RankingParams, SelectionParams};
-pub use serving::{CellGroup, CellRole, ConnState, ServingCellSet};
+pub use serving::{CellGroup, CellRole, ConnState, ServingCellSet, ServingReplay};
 pub use timers::{RlfConfig, RlfDetector, T304};
 pub use trace::{LogChannel, LogRecord, Timestamp, TraceEvent};

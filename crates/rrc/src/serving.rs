@@ -5,7 +5,11 @@
 //! optional secondary cell group (SCG), each with one primary cell and
 //! optional SCells. The paper's Fig. 23 defines the three update forms:
 //! ① PCell change, ② MCG SCell change, ③ SCG change — all realised here as
-//! methods that the detector applies while replaying RRC messages.
+//! methods on [`ServingCellSet`].
+//!
+//! [`ServingReplay`] is the one place that replays RRC procedures onto
+//! those methods (Appendix B). The detector's timeline, the online scorer
+//! and the mitigation transforms all read the set it keeps.
 //!
 //! **5G ON/OFF** (§2): 5G is ON iff any NR cell is serving — either as the
 //! MCG (SA) or as the SCG (NSA). 5G is OFF in 4G-only and IDLE states.
@@ -15,7 +19,9 @@ use std::fmt;
 use serde::{de, Deserialize, Serialize, Value};
 
 use crate::ids::{CellId, Rat};
+use crate::messages::{ReconfigBody, RrcMessage, ScellAddMod};
 use crate::perf::InlineVec;
+use crate::trace::{MmState, Timestamp, TraceEvent};
 
 /// Role of a cell within the serving set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -393,6 +399,151 @@ impl fmt::Display for ServingCellSet {
     }
 }
 
+/// What a reconfiguration does to the serving set, held until its
+/// `Complete` arrives. The command's `measConfig` list, the one field of
+/// [`ReconfigBody`] on the heap, never touches the set and is left out.
+#[derive(Debug)]
+struct ReconfigEffect {
+    /// RAT of the record that carried the command.
+    rat: Rat,
+    add: InlineVec<ScellAddMod, 4>,
+    release: InlineVec<u8, 4>,
+    sp_cell: Option<CellId>,
+    scg_release: bool,
+    mobility_target: Option<CellId>,
+}
+
+impl ReconfigEffect {
+    fn capture(rat: Rat, body: &ReconfigBody) -> ReconfigEffect {
+        ReconfigEffect {
+            rat,
+            add: body.scell_to_add_mod.clone(),
+            release: body.scell_to_release.clone(),
+            sp_cell: body.sp_cell,
+            scg_release: body.scg_release,
+            mobility_target: body.mobility_target,
+        }
+    }
+
+    /// Applies the completed command: a handover first (it resets the
+    /// SCell configuration), else the SCG release, the PSCell, SCell
+    /// releases and then SCell adds.
+    fn apply(&self, cs: &mut ServingCellSet) {
+        if let Some(target) = self.mobility_target {
+            cs.handover(target, self.sp_cell.is_some());
+            if let Some(sp) = self.sp_cell {
+                cs.set_pscell(sp);
+            }
+            return;
+        }
+        if self.scg_release {
+            cs.release_scg();
+        }
+        if let Some(sp) = self.sp_cell {
+            cs.set_pscell(sp);
+        }
+        for rel in &self.release {
+            cs.release_mcg_scell(*rel);
+        }
+        for add in &self.add {
+            if self.rat == Rat::Lte && add.cell.rat == Rat::Nr {
+                cs.add_scg_scell(add.index, add.cell);
+            } else {
+                cs.add_mcg_scell(add.index, add.cell);
+            }
+        }
+    }
+}
+
+/// The serving-cell-set replay of the paper's Appendix B: advances a
+/// [`ServingCellSet`] one [`TraceEvent`] at a time.
+///
+/// * establishment / re-establishment → a new MCG with the named PCell;
+/// * `RRCReconfiguration` → SCell add/release, PSCell change, SCG release,
+///   handover — applied when the matching `Complete` arrives (a command the
+///   UE never completes, e.g. a failed handover, changes nothing);
+/// * `RRCRelease`, re-establishment requests and MM `DEREGISTERED` → IDLE.
+///
+/// NSA disambiguation: inside an LTE-RAT record, `sCellToAddModList`
+/// entries whose cells are NR belong to the SCG (EN-DC's
+/// `nr-SecondaryCellGroupConfig` carries them); LTE entries are MCG SCells.
+///
+/// Timestamps are only handed back. A held command keeps copies of its
+/// inline SCell lists, so `feed` allocates nothing while a command adds
+/// and releases at most four SCells each.
+#[derive(Debug, Default)]
+pub struct ServingReplay {
+    serving: ServingCellSet,
+    /// PCell requested by a `SetupRequest`, not yet set up.
+    pending_pcell: Option<CellId>,
+    /// Command awaiting its `Complete`.
+    pending: Option<ReconfigEffect>,
+}
+
+impl ServingReplay {
+    /// A replay in the IDLE state.
+    pub fn new() -> ServingReplay {
+        ServingReplay::default()
+    }
+
+    /// The serving set after the last event fed.
+    pub fn serving(&self) -> &ServingCellSet {
+        &self.serving
+    }
+
+    /// Back to IDLE with nothing pending.
+    pub fn reset(&mut self) {
+        *self = ServingReplay::default();
+    }
+
+    /// Applies one event's effect on the serving set. Returns the event's
+    /// time when the event (re)set the set, even to the set it already
+    /// was; `None` when it left the set alone.
+    pub fn feed(&mut self, ev: &TraceEvent) -> Option<Timestamp> {
+        match ev {
+            TraceEvent::Rrc(rec) => match &rec.msg {
+                RrcMessage::SetupRequest { cell, .. } => {
+                    self.pending_pcell = Some(*cell);
+                    self.pending = None;
+                    None
+                }
+                RrcMessage::SetupComplete => {
+                    self.serving = ServingCellSet::with_pcell(self.pending_pcell.take()?);
+                    Some(rec.t)
+                }
+                RrcMessage::Reconfiguration(body) => {
+                    self.pending = Some(ReconfigEffect::capture(rec.rat, body));
+                    None
+                }
+                RrcMessage::ReconfigurationComplete => {
+                    self.pending.take()?.apply(&mut self.serving);
+                    Some(rec.t)
+                }
+                RrcMessage::ReestablishmentRequest { .. } | RrcMessage::Release => {
+                    self.pending = None;
+                    self.serving.release_all();
+                    Some(rec.t)
+                }
+                RrcMessage::ReestablishmentComplete { cell } => {
+                    self.serving = ServingCellSet::with_pcell(*cell);
+                    Some(rec.t)
+                }
+                _ => None,
+            },
+            TraceEvent::Mm {
+                t,
+                state: MmState::DeregisteredNoCellAvailable,
+            } => {
+                self.pending = None;
+                self.pending_pcell = None;
+                self.serving.release_all();
+                Some(*t)
+            }
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,5 +679,77 @@ mod tests {
     fn scell_release_of_missing_index_is_none() {
         let mut cs = ServingCellSet::with_pcell(nr(393, 521310));
         assert_eq!(cs.release_mcg_scell(9), None);
+    }
+
+    fn rrc(t: u64, rat: Rat, msg: RrcMessage) -> TraceEvent {
+        use crate::trace::{LogChannel, LogRecord};
+        TraceEvent::Rrc(LogRecord {
+            t: Timestamp(t),
+            rat,
+            channel: LogChannel::for_message(&msg),
+            context: None,
+            msg,
+        })
+    }
+
+    #[test]
+    fn replay_reports_when_the_set_is_reset() {
+        use crate::events::{EventKind, MeasEvent, TriggerQuantity};
+        use crate::ids::GlobalCellId;
+        let mut r = ServingReplay::new();
+        let setup = RrcMessage::SetupRequest {
+            cell: lte(238, 5145),
+            global_id: GlobalCellId(1),
+        };
+        assert_eq!(r.feed(&rrc(0, Rat::Lte, setup)), None);
+        assert_eq!(
+            r.feed(&rrc(10, Rat::Lte, RrcMessage::SetupComplete)),
+            Some(Timestamp(10))
+        );
+        // An NR add inside an LTE record joins the SCG, and only once the
+        // command completes.
+        let add = ReconfigBody {
+            sp_cell: Some(nr(66, 632736)),
+            scell_to_add_mod: vec![ScellAddMod {
+                index: 1,
+                cell: nr(66, 658080),
+            }]
+            .into(),
+            meas_config: vec![MeasEvent::new(
+                EventKind::A3 { offset: 30 },
+                TriggerQuantity::Rsrp,
+                632736,
+            )],
+            ..Default::default()
+        };
+        assert_eq!(
+            r.feed(&rrc(20, Rat::Lte, RrcMessage::Reconfiguration(add))),
+            None
+        );
+        assert_eq!(r.serving().state(), ConnState::LteOnly);
+        assert_eq!(
+            r.feed(&rrc(30, Rat::Lte, RrcMessage::ReconfigurationComplete)),
+            Some(Timestamp(30))
+        );
+        assert_eq!(
+            r.serving().to_string(),
+            "{238@5145* | SCG: 66@632736*, 66@658080}"
+        );
+        // A Complete with nothing pending changes nothing.
+        assert_eq!(
+            r.feed(&rrc(40, Rat::Lte, RrcMessage::ReconfigurationComplete)),
+            None
+        );
+        let dereg = TraceEvent::Mm {
+            t: Timestamp(50),
+            state: MmState::DeregisteredNoCellAvailable,
+        };
+        assert_eq!(r.feed(&dereg), Some(Timestamp(50)));
+        assert_eq!(r.serving(), &ServingCellSet::idle());
+
+        r.feed(&rrc(60, Rat::Lte, RrcMessage::SetupComplete));
+        assert_eq!(r.serving(), &ServingCellSet::idle(), "no setup pending");
+        r.reset();
+        assert_eq!(r.serving(), &ServingCellSet::idle());
     }
 }
