@@ -16,9 +16,7 @@ fn fused_path_matches_text_round_trip() {
 
     // Round-trip: emit the trace as NSG text, re-parse it, re-analyze.
     let text = out.to_log();
-    let reparsed: Vec<_> = onoff_nsglog::parse_lines(text.lines())
-        .collect::<Result<_, _>>()
-        .expect("emitted log must re-parse");
+    let reparsed: Vec<_> = onoff_nsglog::parse_str(&text).expect("emitted log must re-parse");
     assert_eq!(reparsed, out.events, "text round-trip must be lossless");
 
     // Batch over the re-parsed events… (scored: the fused path scores

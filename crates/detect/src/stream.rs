@@ -334,10 +334,6 @@ pub struct StreamingAnalyzer {
     /// Newest timestamp ever fed (drives the horizon).
     max_seen: Timestamp,
     events_seen: usize,
-    /// This instance's reorder-buffer cap (defaults to [`REORDER_CAP`]).
-    /// Hosts running many sessions (the `onoff-serve` daemon) lower it to
-    /// meet a per-session memory budget.
-    cap: usize,
     /// Events released early by cap overflow (folded into the core's
     /// [`DegradationReport`] on query).
     cap_evictions: usize,
@@ -350,7 +346,6 @@ impl Default for StreamingAnalyzer {
             pending: VecDeque::new(),
             max_seen: Timestamp(0),
             events_seen: 0,
-            cap: REORDER_CAP,
             cap_evictions: 0,
         }
     }
@@ -360,22 +355,6 @@ impl StreamingAnalyzer {
     /// New, empty analyzer.
     pub fn new() -> StreamingAnalyzer {
         StreamingAnalyzer::default()
-    }
-
-    /// An analyzer whose reorder buffer holds at most `cap` events (`0`
-    /// degrades to releasing every event immediately, which still never
-    /// panics — each release is counted as a cap eviction when the horizon
-    /// hadn't sealed it). The default is [`REORDER_CAP`].
-    pub fn with_reorder_cap(cap: usize) -> StreamingAnalyzer {
-        StreamingAnalyzer {
-            cap,
-            ..StreamingAnalyzer::default()
-        }
-    }
-
-    /// This instance's reorder-buffer cap.
-    pub fn reorder_cap(&self) -> usize {
-        self.cap
     }
 
     /// Approximate heap footprint (core automata plus the reorder buffer),
@@ -454,7 +433,7 @@ impl StreamingAnalyzer {
     /// late arrival (or that overflow the cap).
     fn release_ready(&mut self) {
         loop {
-            let over_cap = self.pending.len() > self.cap;
+            let over_cap = self.pending.len() > REORDER_CAP;
             let expired = self
                 .pending
                 .front()
@@ -717,25 +696,6 @@ mod tests {
         // event, so each one is a counted best-effort eviction.
         assert_eq!(analysis.degradation.cap_evictions, 10);
         assert_eq!(analysis.degradation.clamped_events, 0);
-    }
-
-    #[test]
-    fn custom_reorder_cap_bounds_buffer_per_instance() {
-        // Same shape as `cap_releases_oldest_on_overflow`, but with a
-        // per-instance cap of 4: only 4 events may pend, so 6 of the 10
-        // equal-timestamp feeds are counted cap evictions.
-        let mut s = StreamingAnalyzer::with_reorder_cap(4);
-        assert_eq!(s.reorder_cap(), 4);
-        for _ in 0..10 {
-            s.feed(TraceEvent::Throughput {
-                t: Timestamp(1000),
-                mbps: 1.0,
-            });
-        }
-        let analysis = s.finish();
-        assert_eq!(analysis.degradation.cap_evictions, 6);
-        // The default instance still uses the crate-wide constant.
-        assert_eq!(StreamingAnalyzer::new().reorder_cap(), REORDER_CAP);
     }
 
     #[test]

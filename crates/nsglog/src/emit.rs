@@ -9,70 +9,21 @@
 //! OCR-ism to `physCellId`).
 
 use std::fmt;
-use std::io;
 
 use onoff_rrc::events::{EventKind, MeasEvent, TriggerQuantity};
 use onoff_rrc::ids::Rat;
 use onoff_rrc::messages::{ReconfigBody, RrcMessage};
 use onoff_rrc::trace::{LogRecord, MmState, TraceEvent};
 
-/// Emits a whole trace as log text. Events are emitted in the given order
-/// (the caller is responsible for time-ordering).
+/// Emits a whole trace as log text, one [`emit_event`] per event. Events
+/// are emitted in the given order (the caller is responsible for
+/// time-ordering).
 pub fn emit(events: &[TraceEvent]) -> String {
     let mut out = String::new();
-    emit_to(events, &mut out).expect("fmt::Write to a String is infallible");
+    for ev in events {
+        emit_event(ev, &mut out).expect("fmt::Write to a String is infallible");
+    }
     out
-}
-
-/// Streams events into any [`fmt::Write`] sink, one at a time — the
-/// streaming dual of [`emit`]: no trace-sized `String` is ever built.
-pub fn emit_to<'a, W: fmt::Write>(
-    events: impl IntoIterator<Item = &'a TraceEvent>,
-    out: &mut W,
-) -> fmt::Result {
-    for ev in events {
-        emit_event(ev, out)?;
-    }
-    Ok(())
-}
-
-/// Streams events into any [`io::Write`] sink (file, socket, pipe),
-/// surfacing the underlying I/O error instead of `fmt::Error`.
-pub fn emit_io<'a, W: io::Write>(
-    events: impl IntoIterator<Item = &'a TraceEvent>,
-    out: &mut W,
-) -> io::Result<()> {
-    let mut sink = IoAdapter {
-        inner: out,
-        err: None,
-    };
-    for ev in events {
-        if emit_event(ev, &mut sink).is_err() {
-            // The adapter stores the real io::Error before reporting
-            // fmt::Error, so this take always yields it.
-            return Err(sink
-                .err
-                .take()
-                .unwrap_or_else(|| io::Error::other("formatter error")));
-        }
-    }
-    Ok(())
-}
-
-/// Bridges `fmt::Write` onto an `io::Write`, capturing the first I/O error
-/// (`fmt::Error` carries no payload).
-struct IoAdapter<'w, W: io::Write> {
-    inner: &'w mut W,
-    err: Option<io::Error>,
-}
-
-impl<W: io::Write> fmt::Write for IoAdapter<'_, W> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.inner.write_all(s.as_bytes()).map_err(|e| {
-            self.err = Some(e);
-            fmt::Error
-        })
-    }
 }
 
 /// Emits one event into any [`fmt::Write`] sink.

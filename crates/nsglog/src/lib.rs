@@ -11,36 +11,38 @@
 //! a round-trip guarantee (`parse(emit(trace)) == trace`, enforced by
 //! property tests).
 //!
-//! ## Two layers: incremental cores, batch drivers
+//! ## Two layers: one streaming core per direction, batch drivers over it
 //!
 //! Each direction of the codec exists once, as a **streaming core**; the
 //! batch API is a thin driver over it, so the two cannot drift:
 //!
-//! | workload | parse | lossy parse | emit |
-//! |---|---|---|---|
-//! | live tail / larger-than-memory capture | [`parse_lines`] | [`RecoveringParser`] | [`emit_to`] / [`emit_io`] |
-//! | whole trace already in memory | [`parse_str`] | [`parse_str_lossy`] | [`emit()`] |
+//! | direction | streaming core | whole text in memory |
+//! |---|---|---|
+//! | parse | [`RecoveringParser`] | [`parse_str`], [`parse_str_lossy`], [`parse_str_lossy_into`] |
+//! | emit | [`emit_event`] | [`emit()`] |
 //!
-//! [`parse_lines`] pulls from any `Iterator<Item = &str>` and yields one
-//! `Result<TraceEvent, ParseError>` per record in constant space;
-//! [`parse_str`] simply collects it. Both are fail-fast. [`emit_to`]
-//! streams records into any [`std::fmt::Write`] sink ([`emit_io`] adapts
-//! [`std::io::Write`]); [`emit()`] drives it into a `String`.
-//!
-//! For dirty field captures (truncated records, interleaved garbage),
-//! [`RecoveringParser`] is the lossy core: a push parser that takes the
-//! text in pieces of whole lines, skips malformed records under a
-//! [`RecoveryPolicy`] with exact loss accounting ([`ParseStats`]), hands
-//! each recovered event to a sink, and keeps at most one incomplete record
-//! between pieces. [`parse_str_lossy`] and [`parse_str_lossy_into`] push a
-//! whole text as one piece, decoded in place.
+//! [`RecoveringParser`] is a push parser: it takes the text in pieces of
+//! whole lines, decodes each record in place, hands each event to a sink,
+//! and keeps at most one incomplete record between pieces. Its
+//! [`RecoveryPolicy`] decides what a malformed record does:
+//! [`RecoveryPolicy::FailFast`] stops at the first one, the recovering
+//! policies skip it with exact loss accounting ([`ParseStats`]) — for dirty
+//! field captures with truncated records and interleaved garbage. The
+//! drivers push a whole text as one piece: [`parse_str`] returns its events
+//! or the first error, [`parse_str_lossy`] the surviving events with the
+//! accounting. [`emit_event`] writes one record into any
+//! [`std::fmt::Write`] sink; [`emit()`] drives it into a `String`.
 //!
 //! ```
-//! use onoff_nsglog::{parse_lines, parse_str};
+//! use onoff_nsglog::{parse_str, RecoveringParser, RecoveryPolicy};
 //!
 //! let text = "19:43:37.100 Throughput = 203.25 Mbps\n";
-//! let streamed: Result<Vec<_>, _> = parse_lines(text.lines()).collect();
-//! assert_eq!(streamed.unwrap(), parse_str(text).unwrap());
+//! let mut parser = RecoveringParser::new(RecoveryPolicy::FailFast);
+//! let mut streamed = Vec::new();
+//! parser.push(text, |ev| streamed.push(ev));
+//! let stats = parser.finish(|ev| streamed.push(ev));
+//! assert!(stats.first_error.is_none());
+//! assert_eq!(streamed, parse_str(text).unwrap());
 //! ```
 //!
 //! ## Format by example
@@ -69,9 +71,9 @@ pub mod parse;
 pub mod recover;
 pub mod stats;
 
-pub use emit::{emit, emit_event, emit_io, emit_to};
+pub use emit::{emit, emit_event};
 pub use error::{ParseError, ParseErrorKind};
-pub use parse::{parse_lines, parse_str, parse_str_into, ParseLines};
+pub use parse::parse_str;
 pub use recover::{
     parse_str_lossy, parse_str_lossy_into, ParseStats, RecoveringParser, RecoveryPolicy,
 };

@@ -4,21 +4,15 @@
 //! first token is a `HH:MM:SS.mmm` timestamp; indented lines continue the
 //! current record. Errors carry 1-based line numbers.
 //!
-//! Two fail-fast entry points share one implementation:
+//! This module decodes one record from its lines (`parse_record`). Cutting
+//! the text into records is the job of the one line state machine,
+//! [`RecoveringParser`](crate::RecoveringParser), and [`parse_str`] is its
+//! fail-fast driver: the text's events, or the first malformed record's
+//! error.
 //!
-//! * [`parse_lines`] — the **incremental core**: a pull parser over any
-//!   `Iterator<Item = &str>` that yields one `Result<TraceEvent, ParseError>`
-//!   per record without ever materialising the full event vector. Use it to
-//!   tail live captures or to fuse parsing into a streaming analyzer.
-//! * [`parse_str`] — the **batch driver**: collects the same iterator into a
-//!   `Vec`, stopping at the first error. It cannot drift from the streaming
-//!   parser because it *is* the streaming parser.
-//!
-//! Both decode each record with `parse_record`, which the lossy push parser
-//! ([`crate::recover::RecoveringParser`]) shares. It reports only the
-//! [`ParseErrorKind`]: a [`ParseError`] carries a copy of the offending
-//! line, so callers build one only where an error is surfaced or kept, and
-//! a skipped record costs no allocation.
+//! `parse_record` reports only the [`ParseErrorKind`]: a [`ParseError`]
+//! carries a copy of the offending line, so callers build one only where an
+//! error is surfaced or kept, and a skipped record costs no allocation.
 //!
 //! RAT inference inside lists: channel numbers below 70 000 are LTE EARFCNs,
 //! everything else is an NR-ARFCN. This discriminator is exact for every
@@ -36,147 +30,17 @@ use onoff_rrc::perf::InlineVec;
 use onoff_rrc::trace::{LogChannel, LogRecord, MmState, Timestamp, TraceEvent};
 
 use crate::error::{ParseError, ParseErrorKind};
+use crate::recover::{parse_str_lossy, RecoveryPolicy};
 
-/// Parses a complete log text into trace events (batch driver over
-/// [`parse_lines`]; stops at the first error).
+/// Parses a complete log text into trace events, stopping at the first
+/// malformed record: [`parse_str_lossy`] under
+/// [`RecoveryPolicy::FailFast`], with the first error as the `Err`.
 pub fn parse_str(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
-    let mut out = Vec::new();
-    parse_str_into(text, &mut out)?;
-    Ok(out)
-}
-
-/// [`parse_str`] into a caller-owned buffer: `out` is cleared, then filled
-/// with the parsed events, retaining whatever capacity it already has —
-/// the serving tier recycles one buffer per frame this way instead of
-/// allocating a fresh vector per request.
-pub fn parse_str_into(text: &str, out: &mut Vec<TraceEvent>) -> Result<(), ParseError> {
-    out.clear();
-    // Pre-size from the byte length. Report-heavy captures average >1 KB
-    // per record, so dividing by a small figure (the old /64) committed
-    // ~18× the needed capacity — at 192 bytes per event that meant
-    // megabytes of page faults before parsing began. /512 lands within
-    // ~2× on real traces either way; dense short-record logs just take a
-    // few amortized regrows.
-    let want = text.len() / 512 + 8;
-    if out.capacity() < want {
-        out.reserve(want);
+    let (events, stats) = parse_str_lossy(text, RecoveryPolicy::FailFast);
+    match stats.first_error {
+        Some(e) => Err(e),
+        None => Ok(events),
     }
-    for ev in parse_lines(text.lines()) {
-        out.push(ev?);
-    }
-    Ok(())
-}
-
-/// Streaming record parser: one `Result<TraceEvent, ParseError>` per record,
-/// pulled lazily from the line source.
-///
-/// Memory use is bounded by one record (its continuation lines), not by the
-/// capture: a multi-gigabyte log tail parses in constant space. Line numbers
-/// count every line the source yields (blank lines included), so errors
-/// carry the same 1-based positions [`parse_str`] reports. After yielding an
-/// error the iterator is fused (subsequent `next` returns `None`): a record
-/// boundary cannot be trusted past a malformed head.
-pub fn parse_lines<'a, I>(lines: I) -> ParseLines<'a, I::IntoIter>
-where
-    I: IntoIterator<Item = &'a str>,
-{
-    ParseLines {
-        lines: lines.into_iter(),
-        lineno: 0,
-        lookahead: None,
-        done: false,
-        scratch: Vec::new(),
-    }
-}
-
-/// Iterator state of [`parse_lines`].
-#[derive(Debug, Clone)]
-pub struct ParseLines<'a, I: Iterator<Item = &'a str>> {
-    lines: I,
-    /// Lines consumed from the source so far (1-based numbering).
-    lineno: usize,
-    /// A head line pulled while scanning for continuations, waiting to
-    /// start the next record. Holding it here (instead of `peek`ing and
-    /// re-`next`ing) makes "a pulled line is consumed exactly once" a
-    /// property of the type, not a runtime assertion.
-    lookahead: Option<(usize, &'a str)>,
-    done: bool,
-    /// Reusable continuation-line buffer: taken at the start of each
-    /// record, restored after parsing, so the per-record body `Vec`
-    /// allocates once per parser instead of once per record.
-    scratch: Vec<&'a str>,
-}
-
-impl<'a, I: Iterator<Item = &'a str>> ParseLines<'a, I> {
-    /// Next non-blank line with its 1-based number, CRLF-tolerant.
-    fn next_line(&mut self) -> Option<(usize, &'a str)> {
-        if let Some(held) = self.lookahead.take() {
-            return Some(held);
-        }
-        loop {
-            let raw = self.lines.next()?;
-            self.lineno += 1;
-            if let Some(line) = content_line(raw) {
-                return Some((self.lineno, line));
-            }
-        }
-    }
-
-    /// Pulls the next line if it continues the current record; otherwise
-    /// parks it as the next record's head. This is the peek-then-next of
-    /// the old batch loop fused into one infallible call.
-    fn next_continuation(&mut self) -> Option<&'a str> {
-        let (n, line) = self.next_line()?;
-        if is_continuation(line) {
-            Some(line)
-        } else {
-            self.lookahead = Some((n, line));
-            None
-        }
-    }
-}
-
-impl<'a, I: Iterator<Item = &'a str>> Iterator for ParseLines<'a, I> {
-    type Item = Result<TraceEvent, ParseError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let (lineno, head) = self.next_line()?;
-        if is_continuation(head) {
-            self.done = true;
-            return Some(Err(ParseError::new(
-                lineno,
-                ParseErrorKind::OrphanContinuation,
-                head,
-            )));
-        }
-        let mut body = std::mem::take(&mut self.scratch);
-        body.clear();
-        while let Some(cont) = self.next_continuation() {
-            body.push(cont);
-        }
-        let parsed = parse_record(head, &body);
-        self.scratch = body;
-        if parsed.is_err() {
-            self.done = true;
-        }
-        Some(parsed.map_err(|kind| ParseError::new(lineno, kind, head)))
-    }
-}
-
-/// A raw source line as the parsers see it: `None` for a blank line,
-/// otherwise the line with a trailing `\r` (CRLF exports) removed.
-pub(crate) fn content_line(raw: &str) -> Option<&str> {
-    let line = raw.strip_suffix('\r').unwrap_or(raw);
-    (!line.trim().is_empty()).then_some(line)
-}
-
-/// Whether a non-blank line continues the current record (is indented)
-/// rather than starting one.
-pub(crate) fn is_continuation(line: &str) -> bool {
-    line.starts_with(char::is_whitespace)
 }
 
 /// Decodes one record from its head line and its continuation lines.

@@ -1,30 +1,29 @@
-//! Lossy parse recovery for dirty field captures.
+//! The line state machine: the one place NSG text is cut into records.
 //!
-//! [`parse_lines`](crate::parse_lines) is fail-fast: the first malformed
-//! record fuses the iterator, which is the right default for round-trip
-//! guarantees but discards an entire capture over one truncated line.
-//! [`RecoveringParser`] is the lossy core instead: a push parser that takes
-//! a capture in pieces of whole lines and applies a [`RecoveryPolicy`].
-//! Malformed records can be skipped (and counted per [`ParseErrorKind`])
-//! or, on top of that, non-monotonic timestamps repaired — so a drive-test
-//! log with a few percent of corruption still yields an analyzable trace
-//! plus an exact account of what was lost ([`ParseStats`]).
+//! [`RecoveringParser`] is a push parser that takes a capture in pieces of
+//! whole lines and applies a [`RecoveryPolicy`]. Malformed records can be
+//! skipped (and counted per [`ParseErrorKind`]) or, on top of that,
+//! non-monotonic timestamps repaired — so a drive-test log with a few
+//! percent of corruption still yields an analyzable trace plus an exact
+//! account of what was lost ([`ParseStats`]). Under
+//! [`RecoveryPolicy::FailFast`] the first malformed record stops it
+//! instead, which is the right default for round-trip guarantees.
 //! [`parse_str_lossy`] and [`parse_str_lossy_into`] drive it over a whole
-//! text, parsed in place.
+//! text, parsed in place, and [`parse_str`](crate::parse_str) is the
+//! fail-fast driver.
 
 use std::collections::BTreeMap;
 
 use onoff_rrc::trace::{Timestamp, TraceEvent};
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::parse::{content_line, is_continuation, parse_record};
+use crate::parse::parse_record;
 
 /// What to do when a record fails to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
-    /// Surface the first error and stop, exactly like
-    /// [`parse_lines`](crate::parse_lines). Input past the error is never
-    /// decoded.
+    /// Surface the first error and stop: input past the error is never
+    /// decoded. [`parse_str`](crate::parse_str) parses under this policy.
     FailFast,
     /// Drop malformed records, resynchronize at the next record head, and
     /// keep going; every drop is counted in [`ParseStats`].
@@ -308,6 +307,19 @@ impl RecoveringParser {
     }
 }
 
+/// A raw source line as the parser sees it: `None` for a blank line,
+/// otherwise the line with a trailing `\r` (CRLF exports) removed.
+fn content_line(raw: &str) -> Option<&str> {
+    let line = raw.strip_suffix('\r').unwrap_or(raw);
+    (!line.trim().is_empty()).then_some(line)
+}
+
+/// Whether a non-blank line continues the current record (is indented)
+/// rather than starting one.
+fn is_continuation(line: &str) -> bool {
+    line.starts_with(char::is_whitespace)
+}
+
 /// Batch driver over [`RecoveringParser`]: parses what it can and returns
 /// the surviving events with the loss accounting.
 ///
@@ -373,13 +385,14 @@ mod tests {
     }
 
     #[test]
-    fn fail_fast_matches_parse_lines() {
+    fn fail_fast_stops_at_the_first_error() {
         let dirty = "00:00:01.000 MM5G State = REGISTERED\nnot a record\n\
                      00:00:02.000 Throughput = 1.5 Mbps\n";
         let (events, stats) = parse_str_lossy(dirty, RecoveryPolicy::FailFast);
         assert_eq!(events.len(), 1);
-        assert_eq!(stats.skipped, 1);
+        assert_eq!((stats.records, stats.parsed, stats.skipped), (2, 1, 1));
         let err = crate::parse_str(dirty).unwrap_err();
+        assert_eq!((err.line, &err.kind), (2, &ParseErrorKind::BadTimestamp));
         assert_eq!(stats.first_error, Some(err));
     }
 

@@ -5,7 +5,9 @@
 //! no policy ever panics. Pushing a text to the recovering parser in
 //! whole-line pieces recovers exactly what parsing it whole does.
 
-use onoff_nsglog::{emit, parse_str_lossy, ParseStats, RecoveringParser, RecoveryPolicy};
+use onoff_nsglog::{
+    emit, parse_str, parse_str_lossy, ParseStats, RecoveringParser, RecoveryPolicy,
+};
 use onoff_rrc::ids::{CellId, GlobalCellId, Pci, Rat};
 use onoff_rrc::meas::{Measurement, Rsrp, Rsrq};
 use onoff_rrc::messages::{MeasResult, MeasurementReport, RrcMessage, Trigger};
@@ -197,7 +199,8 @@ proptest! {
     /// line count all carry across pieces, and a record split between
     /// pieces is decoded once. The events' clocks are arbitrary, so the
     /// repair policy has rollbacks to clamp. The parser is reused for a
-    /// second text, which `finish` must leave it ready for.
+    /// second text, which `finish` must leave it ready for. `parse_str`
+    /// agrees with the fail-fast whole-text parse.
     #[test]
     fn pieces_parse_like_the_whole_text(
         events in prop::collection::vec(arb_event(), 0..30),
@@ -212,6 +215,15 @@ proptest! {
         prop_assert_eq!(pieces.concat(), dirty.as_str());
         for policy in POLICIES {
             let (want_events, want) = parse_str_lossy(&dirty, policy);
+            if policy == RecoveryPolicy::FailFast {
+                // The fail-fast driver fails exactly where the whole-text
+                // parse met its first error, and otherwise returns its
+                // events.
+                match &want.first_error {
+                    Some(e) => prop_assert_eq!(parse_str(&dirty), Err(e.clone())),
+                    None => prop_assert_eq!(parse_str(&dirty), Ok(want_events.clone())),
+                }
+            }
             let mut parser = RecoveringParser::new(policy);
             for _ in 0..2 {
                 let (got_events, got) = push_pieces(&mut parser, &pieces);

@@ -20,7 +20,8 @@
 //!   `String` churn.
 //!
 //! `onoff-rrc` sits at the bottom of the workspace graph, so these types
-//! live here and are re-exported through `onoff-core` for downstream users.
+//! live here, where every layer above can reach them (downstream users
+//! through `fiveg_onoff::rrc::perf`).
 //!
 //! Everything is implemented from scratch against the offline shim-based
 //! workspace: no registry dependencies.

@@ -145,30 +145,17 @@ impl ServeEngine {
     fn ingest_text(&self, sid: u64, text: &str) -> Response {
         let policy = self.table.config().policy;
         let mut events = self.take_scratch();
-        let delta = if policy == RecoveryPolicy::FailFast {
-            match onoff_nsglog::parse_str_into(text, &mut events) {
-                Ok(()) => {
-                    let n = events.len();
-                    SessionMeta {
-                        records: n,
-                        parsed: n,
-                        skipped: 0,
-                    }
-                }
-                Err(e) => {
-                    self.put_scratch(events);
-                    return Response::Error {
-                        msg: format!("text parse: {e}"),
-                    };
-                }
-            }
-        } else {
-            let stats = onoff_nsglog::parse_str_lossy_into(text, policy, &mut events);
-            SessionMeta {
-                records: stats.records,
-                parsed: stats.parsed,
-                skipped: stats.skipped,
-            }
+        let stats = onoff_nsglog::parse_str_lossy_into(text, policy, &mut events);
+        if let (RecoveryPolicy::FailFast, Some(e)) = (policy, &stats.first_error) {
+            self.put_scratch(events);
+            return Response::Error {
+                msg: format!("text parse: {e}"),
+            };
+        }
+        let delta = SessionMeta {
+            records: stats.records,
+            parsed: stats.parsed,
+            skipped: stats.skipped,
         };
         self.apply(sid, events, delta)
     }
@@ -338,6 +325,50 @@ mod tests {
         assert!(dirty.meta.skipped > 0, "damage lands on the offender");
         let metrics = engine.metrics();
         assert_eq!(metrics.parse.skipped, dirty.meta.skipped);
+    }
+
+    #[test]
+    fn fail_fast_refuses_a_malformed_text_frame_whole() {
+        let engine = ServeEngine::new(ServeConfig {
+            policy: RecoveryPolicy::FailFast,
+            ..ServeConfig::default()
+        });
+        let dirty = text_lines(2) + "garbage line\n" + &text_lines(3);
+        let resp = engine.handle(Request::TextEvents {
+            sid: 5,
+            text: dirty,
+        });
+        assert_eq!(
+            resp,
+            Response::Error {
+                msg: "text parse: line 3: malformed HH:MM:SS.mmm timestamp: \"garbage line\""
+                    .into()
+            }
+        );
+        // The session was never created, and nothing was counted.
+        assert!(matches!(
+            engine.handle(Request::Query { sid: 5 }),
+            Response::Error { .. }
+        ));
+        assert_eq!(engine.metrics().parse, SessionMeta::default());
+
+        let resp = engine.handle(Request::TextEvents {
+            sid: 6,
+            text: text_lines(12),
+        });
+        assert_eq!(resp, Response::Ok { events: 12 });
+        let Response::Json { payload } = engine.handle(Request::Query { sid: 6 }) else {
+            panic!("expected json");
+        };
+        let report: SessionReport = serde_json::from_str(&payload).unwrap();
+        assert_eq!(
+            report.meta,
+            SessionMeta {
+                records: 12,
+                parsed: 12,
+                skipped: 0,
+            }
+        );
     }
 
     #[test]

@@ -77,9 +77,6 @@ pub struct ServeConfig {
     pub snapshot_dir: Option<PathBuf>,
     /// Online loop-proneness scoring for every session, if any.
     pub scoring: Option<ScoringConfig>,
-    /// Per-session reorder-buffer cap
-    /// ([`StreamingAnalyzer::with_reorder_cap`]).
-    pub reorder_cap: usize,
     /// How text ingests treat malformed records.
     pub policy: onoff_nsglog::RecoveryPolicy,
 }
@@ -92,7 +89,6 @@ impl Default for ServeConfig {
             shards: 8,
             snapshot_dir: None,
             scoring: None,
-            reorder_cap: 1024,
             policy: onoff_nsglog::RecoveryPolicy::SkipAndCount,
         }
     }
@@ -271,7 +267,7 @@ impl SessionTable {
     }
 
     fn new_session(&self, stamp: u64) -> Session {
-        let mut analyzer = StreamingAnalyzer::with_reorder_cap(self.cfg.reorder_cap);
+        let mut analyzer = StreamingAnalyzer::new();
         if let Some(sc) = &self.cfg.scoring {
             analyzer.enable_scoring(sc.clone());
         }

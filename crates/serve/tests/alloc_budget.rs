@@ -2,7 +2,7 @@
 //!
 //! Steady-state fleet ingest recycles every per-frame buffer (DESIGN.md
 //! §16): the engine's parse-scratch pool hands each frame a warm event
-//! buffer, `parse_str_into` / `read_all_into` fill it in place, and
+//! buffer, `parse_str_lossy_into` / `read_all_into` fill it in place, and
 //! `SessionTable::ingest_drain` moves the events out while leaving the
 //! capacity with the caller. These tests pin that contract with a counting
 //! global allocator, so a reintroduced per-frame `Vec` or per-event clone

@@ -57,12 +57,10 @@ fn encode(input: &str, output: &str, policy: RecoveryPolicy) -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&format!("cannot read {input}: {e}")),
     };
-    if matches!(policy, RecoveryPolicy::FailFast) {
-        if let Err(e) = onoff_nsglog::parse_str(&text) {
-            return fail(&format!("parse error in {input}: {e}"));
-        }
-    }
     let (events, stats) = onoff_nsglog::parse_str_lossy(&text, policy);
+    if let (RecoveryPolicy::FailFast, Some(e)) = (policy, &stats.first_error) {
+        return fail(&format!("parse error in {input}: {e}"));
+    }
     if stats.parsed == 0 && stats.records > 0 {
         // Total loss is a refusal, not a warning: a script piping a
         // hopeless capture through `encode` must not see success and an
@@ -129,7 +127,13 @@ fn decode(input: &str, output: &str, policy: RecoveryPolicy) -> ExitCode {
         Err(e) => return fail(&format!("cannot create {output}: {e}")),
     };
     let mut out = std::io::BufWriter::new(file);
-    if let Err(e) = onoff_nsglog::emit_io(&events, &mut out).and_then(|_| out.flush()) {
+    let mut record = String::new();
+    let written = events.iter().try_for_each(|ev| {
+        record.clear();
+        onoff_nsglog::emit_event(ev, &mut record).expect("fmt::Write to a String is infallible");
+        out.write_all(record.as_bytes())
+    });
+    if let Err(e) = written.and_then(|()| out.flush()) {
         return fail(&format!("cannot write {output}: {e}"));
     }
     eprintln!("{}: {} events", output, events.len());

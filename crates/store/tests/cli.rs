@@ -114,7 +114,13 @@ fn fail_fast_encode_of_malformed_text_exits_nonzero() {
         tmp("bad.ostr").to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(1));
-    assert!(stderr_of(&out).contains("parse error"));
+    assert_eq!(
+        stderr_of(&out),
+        format!(
+            "error: parse error in {}: line 1: malformed HH:MM:SS.mmm timestamp: \"not an nsg record\"\n",
+            txt.to_str().unwrap()
+        )
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! ```
 
 use fiveg_onoff::prelude::*;
-use onoff_core::{analyze_events, render_report};
+use fiveg_onoff::{analyze_events, render_report};
 use onoff_rrc::trace::TraceEvent;
 
 fn main() {

@@ -16,6 +16,11 @@
 //! * [`campaign`] — the full measurement campaign (areas A1–A11, three
 //!   operators, six phone models).
 //!
+//! At the crate root, the report API takes one capture from log text to a
+//! loop report: [`analyze_log_text`], [`analyze_events`], [`LoopReport`],
+//! [`LoopFinding`] and [`render_report`] (the `onoff-report` binary prints
+//! it).
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -34,9 +39,12 @@
 //! println!("loop detected: {}", analysis.has_loop());
 //! ```
 
+mod report;
+
+pub use report::{analyze_events, analyze_log_text, render_report, LoopFinding, LoopReport};
+
 pub use onoff_analysis as analysis;
 pub use onoff_campaign as campaign;
-pub use onoff_core as core;
 pub use onoff_detect as detect;
 pub use onoff_nsglog as nsglog;
 pub use onoff_policy as policy;

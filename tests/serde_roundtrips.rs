@@ -43,9 +43,9 @@ fn run_analysis_roundtrips_through_json() {
 
 #[test]
 fn loop_report_roundtrips_through_json() {
-    let report = onoff_core::analyze_events(&looping_events());
+    let report = fiveg_onoff::analyze_events(&looping_events());
     let json = serde_json::to_string_pretty(&report).unwrap();
-    let back: onoff_core::LoopReport = serde_json::from_str(&json).unwrap();
+    let back: fiveg_onoff::LoopReport = serde_json::from_str(&json).unwrap();
     assert_eq!(back, report);
     assert_eq!(back.findings[0].loop_type, LoopType::S1E3);
 }
