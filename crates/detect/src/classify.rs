@@ -19,6 +19,7 @@
 //! failed SCG-change target (N2E2).
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 use serde::{Deserialize, Serialize};
 
@@ -121,6 +122,14 @@ const WINDOW_MS: u64 = 15_000;
 /// (Figs. 30/31) the defining failure trails the transition by seconds.
 const FWD_MS: u64 = 5_000;
 
+/// How many of the newest in-window measurement reports the S1 rules
+/// read: S1E1 asks that a serving SCell be missing from all of them, S1E2
+/// reads the newest. [`OffClassifier`] keeps exactly this many reports.
+const RECENT_REPORTS: usize = 3;
+
+/// One measurement-report row as the classifier keeps it.
+type Row = (CellId, Measurement);
+
 /// Classifies every ON→OFF transition on the timeline.
 pub fn classify_all(events: &[TraceEvent], tl: &CsTimeline) -> Vec<OffTransition> {
     let onoff = tl.on_off_intervals();
@@ -152,33 +161,43 @@ fn serving_set_before(tl: &CsTimeline, t: Timestamp) -> ServingCellSet {
 ///
 /// Batch [`classify_all`] re-filters the whole event slice around every
 /// transition; this automaton instead keeps a **bounded sliding window** of
-/// condensed evidence facts (see `Fact` — the classification-relevant
-/// residue of RRC + MM records within the last `WINDOW_MS + FWD_MS` = 20 s)
-/// and a queue of transitions still awaiting forward evidence. A transition
-/// at `t` is frozen — classified once, for good — as soon as an event later
+/// condensed non-report evidence facts (see `Fact` — the
+/// classification-relevant residue of RRC + MM records within the last
+/// `WINDOW_MS + FWD_MS` = 20 s), the rows of the newest `RECENT_REPORTS`
+/// measurement reports (all the report evidence the S1 rules read), and a
+/// queue of transitions still awaiting forward evidence. A transition at
+/// `t` is frozen — classified once, for good — as soon as an event later
 /// than `t + FWD_MS` proves its evidence window complete. Memory is bounded
-/// by the event density of one window, not by the trace.
+/// by the non-report event density of one window plus three reports'
+/// rows, not by the trace or by how many rows a report carries.
 ///
-/// Measurement-report rows live in a flat arena (`rows`) that report facts
-/// index by global offset, so feeding an event never deep-clones it: in the
-/// steady state (window deques at capacity) `feed_event` allocates nothing,
-/// no matter how many rows each report carries.
+/// `feed_event` freezes due transitions *before* it stores the event that
+/// closed their window. In a time-ordered feed every kept report then lies
+/// at or before each freezing transition's `t + FWD_MS`, so the kept
+/// reports inside that transition's window are exactly the newest ones the
+/// batch path sees there (older ones fall below `t - WINDOW_MS` in both).
+/// Storing first would spend a slot on the closing event when it is
+/// itself a report.
 ///
-/// Equivalence with the batch path (enforced by proptests) holds for
-/// time-ordered feeds: the pruning bound `max_t - WINDOW_MS - FWD_MS` never
-/// discards an event a pending or future transition can still see, because
-/// an unfrozen transition satisfies `t ≥ max_t - FWD_MS`.
+/// Feeding an event never deep-clones it: report rows are copied into
+/// slot vectors that are reused, so in the steady state (window deque at
+/// capacity, slots grown to the largest report) `feed_event` allocates
+/// nothing.
+///
+/// Equivalence with the batch path (enforced by proptests and the
+/// simulated-campaign oracle) holds for time-ordered feeds: the pruning
+/// bound `max_t - WINDOW_MS - FWD_MS` never discards a fact a pending or
+/// future transition can still see, because an unfrozen transition
+/// satisfies `t ≥ max_t - FWD_MS`.
 pub struct OffClassifier {
-    /// Condensed evidence facts in arrival order, pruned from the front.
-    window: VecDeque<(Timestamp, Fact<RowRange>)>,
-    /// Flat arena of measurement-report rows, in arrival order; report
-    /// facts in `window` address it by global offset so pruning is O(rows
-    /// dropped) and steady-state feeding reuses the deque's capacity.
-    rows: VecDeque<(CellId, Measurement)>,
-    /// Global offset of `rows.front()`.
-    rows_base: u64,
-    /// Next global row offset to hand out.
-    rows_next: u64,
+    /// Condensed non-report facts in arrival order, pruned from the front.
+    window: VecDeque<(Timestamp, Fact<Infallible>)>,
+    /// The newest `RECENT_REPORTS` reports' times and rows, oldest
+    /// first. Only the first `recent_len` slots are live; the others keep
+    /// their capacity for the next reports.
+    recent: [(Timestamp, Vec<Row>); RECENT_REPORTS],
+    /// Live slots in `recent`.
+    recent_len: usize,
     /// Latest event time seen.
     max_t: Timestamp,
     /// Transitions whose forward window is still open.
@@ -197,36 +216,35 @@ impl OffClassifier {
     pub fn new() -> OffClassifier {
         OffClassifier {
             window: VecDeque::new(),
-            rows: VecDeque::new(),
-            rows_base: 0,
-            rows_next: 0,
+            recent: Default::default(),
+            recent_len: 0,
             max_t: Timestamp(0),
             pending: VecDeque::new(),
             finalized: Vec::new(),
         }
     }
 
-    /// Back to the fresh state, keeping the deques' and the finalized
-    /// list's capacity, so a pooled classifier replays a new run without
-    /// reallocating its evidence window.
+    /// Back to the fresh state, keeping the deques', the report slots' and
+    /// the finalized list's capacity, so a pooled classifier replays a new
+    /// run without reallocating its evidence.
     pub fn reset(&mut self) {
         self.window.clear();
-        self.rows.clear();
-        self.rows_base = 0;
-        self.rows_next = 0;
+        self.recent_len = 0;
         self.max_t = Timestamp(0);
         self.pending.clear();
         self.finalized.clear();
     }
 
     /// Approximate heap footprint of the classifier state, in bytes
-    /// (capacity-based; see `TimelineBuilder::mem_hint`). The window and
-    /// row arena are bounded by the evidence horizon, so this converges
-    /// per session; `finalized` grows with the transition count.
+    /// (capacity-based; see `TimelineBuilder::mem_hint`). The window is
+    /// bounded by the evidence horizon and each report slot by the largest
+    /// report it held, so this converges per session; `finalized` grows
+    /// with the transition count.
     pub fn mem_hint(&self) -> usize {
         use std::mem::size_of;
-        self.window.capacity() * size_of::<(Timestamp, Fact<RowRange>)>()
-            + self.rows.capacity() * size_of::<(CellId, Measurement)>()
+        let rows: usize = self.recent.iter().map(|(_, rows)| rows.capacity()).sum();
+        self.window.capacity() * size_of::<(Timestamp, Fact<Infallible>)>()
+            + rows * size_of::<Row>()
             + self.pending.capacity() * size_of::<(Timestamp, ServingCellSet)>()
             + self.finalized.capacity() * size_of::<OffTransition>()
     }
@@ -235,38 +253,38 @@ impl OffClassifier {
     /// the clock even though they carry no RRC evidence).
     pub fn feed_event(&mut self, ev: &TraceEvent) {
         self.max_t = self.max_t.max(ev.t());
-        if let Some((t, fact)) = fact_of_event(ev) {
-            let fact = fact.map_report(|r| {
-                let start = self.rows_next;
-                self.rows
-                    .extend(r.results.iter().map(|row| (row.cell, row.meas)));
-                self.rows_next += r.results.len() as u64;
-                RowRange {
-                    start,
-                    len: r.results.len() as u32,
-                }
-            });
-            self.window.push_back((t, fact));
-        }
+        // Freeze before storing (see the struct docs): an event that closes
+        // a forward window lies outside it.
         self.freeze_ready();
+        if let Some((t, fact)) = fact_of_event(ev) {
+            match fact.split_report() {
+                Ok(fact) => self.window.push_back((t, fact)),
+                Err(report) => self.push_report(t, report),
+            }
+        }
         // Prune evidence no pending or future transition can reference
-        // (see the type-level invariant in the struct docs). Reports leave
-        // the window in arrival order, so their rows are always the front
-        // run of the arena.
+        // (see the type-level invariant in the struct docs).
         let keep_from = self.max_t.millis().saturating_sub(WINDOW_MS + FWD_MS);
         while self
             .window
             .front()
             .is_some_and(|(t, _)| t.millis() < keep_from)
         {
-            if let Some((_, Fact::Report(range))) = self.window.pop_front() {
-                debug_assert_eq!(range.start, self.rows_base);
-                for _ in 0..range.len {
-                    self.rows.pop_front();
-                }
-                self.rows_base += range.len as u64;
-            }
+            self.window.pop_front();
         }
+    }
+
+    /// Keeps a report's rows in place of the oldest kept report's.
+    fn push_report(&mut self, t: Timestamp, report: &MeasurementReport) {
+        if self.recent_len == RECENT_REPORTS {
+            self.recent.rotate_left(1);
+        } else {
+            self.recent_len += 1;
+        }
+        let (slot_t, rows) = &mut self.recent[self.recent_len - 1];
+        *slot_t = t;
+        rows.clear();
+        rows.extend(report.results.iter().map(|row| (row.cell, row.meas)));
     }
 
     /// Registers a 5G ON→OFF transition at `t`, with the serving set in
@@ -277,28 +295,18 @@ impl OffClassifier {
         self.freeze_ready();
     }
 
-    /// Classifies `t` against the current condensed window.
-    fn classify_window(
-        window: &VecDeque<(Timestamp, Fact<RowRange>)>,
-        rows: &VecDeque<(CellId, Measurement)>,
-        rows_base: u64,
-        serving: &ServingCellSet,
-        t: Timestamp,
-    ) -> OffTransition {
-        classify_from_facts(
-            window.iter().map(|&(wt, fact)| {
-                (
-                    wt,
-                    fact.map_report(|range| RowsView {
-                        rows,
-                        base: rows_base,
-                        range,
-                    }),
-                )
-            }),
-            serving,
-            t,
-        )
+    /// Classifies `t` against the current window and kept reports.
+    fn classify_window(&self, serving: &ServingCellSet, t: Timestamp) -> OffTransition {
+        let facts = self.window.iter().map(|&(ft, fact)| {
+            let Ok(fact) = fact.split_report();
+            (ft, fact)
+        });
+        // Reports only collect into the S1 evidence list, so reading them
+        // after the other facts gives the same answer as interleaving them.
+        let reports = self.recent[..self.recent_len]
+            .iter()
+            .map(|(ft, rows)| (*ft, Fact::Report(rows.as_slice())));
+        classify_from_facts(facts.chain(reports), serving, t)
     }
 
     /// Classifies and finalizes every pending transition whose forward
@@ -310,8 +318,7 @@ impl OffClassifier {
             .is_some_and(|(t, _)| self.max_t.millis() > t.millis() + FWD_MS)
         {
             if let Some((t, serving)) = self.pending.pop_front() {
-                let tr =
-                    Self::classify_window(&self.window, &self.rows, self.rows_base, &serving, t);
+                let tr = self.classify_window(&serving, t);
                 self.finalized.push(tr);
             }
         }
@@ -323,13 +330,7 @@ impl OffClassifier {
     pub fn transitions(&self) -> Vec<OffTransition> {
         let mut out = self.finalized.clone();
         for (t, serving) in &self.pending {
-            out.push(Self::classify_window(
-                &self.window,
-                &self.rows,
-                self.rows_base,
-                serving,
-                *t,
-            ));
+            out.push(self.classify_window(serving, *t));
         }
         out
     }
@@ -337,14 +338,10 @@ impl OffClassifier {
     /// Consumes the classifier, classifying the still-pending transitions
     /// against the final evidence window.
     pub fn finish(mut self) -> Vec<OffTransition> {
-        for (t, serving) in &self.pending {
-            self.finalized.push(Self::classify_window(
-                &self.window,
-                &self.rows,
-                self.rows_base,
-                serving,
-                *t,
-            ));
+        let pending = std::mem::take(&mut self.pending);
+        for (t, serving) in &pending {
+            let tr = self.classify_window(serving, *t);
+            self.finalized.push(tr);
         }
         self.finalized
     }
@@ -353,8 +350,8 @@ impl OffClassifier {
 /// Per-report evidence interface the classification core reads: membership
 /// (S1E1's "SCell missing from recent reports") and per-cell samples
 /// (S1E2's "terrible RSRQ"). Implemented by borrowed batch reports and by
-/// the streaming classifier's condensed row ranges, so both paths run the
-/// same decision logic over the same facts.
+/// the streaming classifier's kept rows, so both paths run the same
+/// decision logic over the same facts.
 trait ReportEvidence {
     fn contains_cell(&self, cell: CellId) -> bool;
     fn sample_for(&self, cell: CellId) -> Option<Measurement>;
@@ -397,7 +394,8 @@ impl ReconfigFacts {
 }
 
 /// One evidence-bearing fact, generic over how report rows are stored
-/// (borrowed report in the batch path, arena range in the streaming path).
+/// (borrowed report in the batch path, kept rows in the streaming path,
+/// `Infallible` in the streaming window, which holds no reports).
 #[derive(Clone, Copy)]
 enum Fact<R> {
     Reconfig(ReconfigFacts),
@@ -410,44 +408,22 @@ enum Fact<R> {
 }
 
 impl<R> Fact<R> {
-    /// Maps the report payload, leaving every other variant untouched.
-    fn map_report<S>(self, f: impl FnOnce(R) -> S) -> Fact<S> {
-        match self {
-            Fact::Report(r) => Fact::Report(f(r)),
+    /// The report payload as `Err`; any other fact as `Ok`, re-typed for
+    /// whatever payload type the caller stores (it carries none).
+    fn split_report<S>(self) -> Result<Fact<S>, R> {
+        Ok(match self {
+            Fact::Report(r) => return Err(r),
             Fact::Reconfig(x) => Fact::Reconfig(x),
             Fact::ReconfigComplete => Fact::ReconfigComplete,
             Fact::ScgFailure => Fact::ScgFailure,
             Fact::Reest(c) => Fact::Reest(c),
             Fact::Release => Fact::Release,
             Fact::Collapse => Fact::Collapse,
-        }
+        })
     }
 }
 
-/// A report fact's rows in the streaming classifier: a global-offset range
-/// into the arena (`u64` offsets never recycle, so pruning can't alias).
-#[derive(Clone, Copy)]
-struct RowRange {
-    start: u64,
-    len: u32,
-}
-
-/// Borrowed view of one report's rows inside the streaming arena.
-#[derive(Clone, Copy)]
-struct RowsView<'a> {
-    rows: &'a VecDeque<(CellId, Measurement)>,
-    base: u64,
-    range: RowRange,
-}
-
-impl RowsView<'_> {
-    fn iter(&self) -> impl Iterator<Item = &(CellId, Measurement)> {
-        let start = (self.range.start - self.base) as usize;
-        self.rows.range(start..start + self.range.len as usize)
-    }
-}
-
-impl ReportEvidence for RowsView<'_> {
+impl ReportEvidence for &[Row] {
     fn contains_cell(&self, cell: CellId) -> bool {
         self.iter().any(|&(c, _)| c == cell)
     }
@@ -650,10 +626,10 @@ fn classify_from_facts<R: ReportEvidence + Copy>(
     // S1E1 / S1E2: a release (or collapse) with report-level evidence.
     if near(release_at, 1000) || near(collapse_at, 1000) {
         let scells = || serving_before.mcg.scells.values().copied();
-        // S1E1: some serving SCell absent from the last 3 reports (while
-        // reports kept flowing).
-        if reports.len() >= 3 {
-            let recent = || reports.iter().rev().take(3).map(|&(_, r)| r);
+        // S1E1: some serving SCell absent from the last RECENT_REPORTS
+        // reports (while reports kept flowing).
+        if reports.len() >= RECENT_REPORTS {
+            let recent = || reports.iter().rev().take(RECENT_REPORTS).map(|&(_, r)| r);
             for scell in scells() {
                 if recent().all(|r| !r.contains_cell(scell)) {
                     return OffTransition {
@@ -906,6 +882,71 @@ mod tests {
         let tr = classify_off_transition(&[], &sa_set(), Timestamp(1000));
         assert_eq!(tr.loop_type, LoopType::Unknown);
         assert_eq!(tr.problem_cell, None);
+    }
+
+    #[test]
+    fn report_closing_the_forward_window_is_not_evidence() {
+        let p = nr(393, 521310);
+        let missing = nr(273, 387410);
+        let present = nr(273, 398410);
+        let mut events: Vec<TraceEvent> = [1000, 2000, 3000]
+            .into_iter()
+            .map(|t| report(t, &[(p, -82.0, -10.5), (present, -82.0, -10.5)]))
+            .collect();
+        events.push(rrc(3100, Rat::Nr, RrcMessage::Release));
+        // Past the transition's forward window, so it freezes it; it does
+        // report the missing SCell, and must not count.
+        events.push(report(
+            3100 + FWD_MS + 100,
+            &[
+                (p, -82.0, -10.5),
+                (missing, -82.0, -10.5),
+                (present, -82.0, -10.5),
+            ],
+        ));
+        let want = OffTransition {
+            t: Timestamp(3100),
+            loop_type: LoopType::S1E1,
+            problem_cell: Some(missing),
+        };
+        assert_eq!(
+            classify_off_transition(&events, &sa_set(), Timestamp(3100)),
+            want
+        );
+
+        let mut c = OffClassifier::new();
+        for ev in &events[..4] {
+            c.feed_event(ev);
+        }
+        c.feed_transition(Timestamp(3100), sa_set());
+        c.feed_event(&events[4]);
+        assert!(c.pending.is_empty(), "the last report closes the window");
+        assert_eq!(c.finish(), [want]);
+    }
+
+    #[test]
+    fn mem_hint_stops_growing_under_dense_reports() {
+        // An SA report every 200 ms with 100 rows, as dense as OP_T's.
+        const ROWS: usize = 100;
+        let cells: Vec<(CellId, f64, f64)> = (0..ROWS as u16)
+            .map(|pci| (nr(pci, 521310), -90.0, -12.0))
+            .collect();
+        let template = report(0, &cells);
+        let feed = |c: &mut OffClassifier, from_ms: u64, to_ms: u64| {
+            for t in (from_ms..to_ms).step_by(200) {
+                c.feed_event(&template.with_t(Timestamp(t)));
+            }
+        };
+        let mut c = OffClassifier::new();
+        feed(&mut c, 0, 60_000);
+        let one_minute = c.mem_hint();
+        feed(&mut c, 60_000, 600_000);
+        assert_eq!(c.mem_hint(), one_minute);
+        // Three reports' rows, not the 20 s window's hundred.
+        assert!(
+            one_minute < (RECENT_REPORTS + 1) * ROWS * std::mem::size_of::<Row>(),
+            "{one_minute} B"
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   cell-set replay ([`TimelineBuilder`]), episode splitting, transition
 //!   classification ([`OffClassifier`]) and throughput accumulation — in
 //!   one O(1)-amortized `feed` per event. Nothing is buffered and nothing
-//!   is recomputed: memory is bounded by the classifier's 20 s evidence
-//!   window plus the (compressed) timeline itself.
+//!   is recomputed: memory is bounded by the classifier's evidence (20 s
+//!   of non-report facts and the rows of the last three measurement
+//!   reports) plus the (compressed) timeline itself.
 //! * [`StreamingAnalyzer`] — a tolerant front over the core for real
 //!   feeds, adding a **bounded reorder buffer**: events may arrive up to
 //!   [`REORDER_HORIZON_MS`] late (or until [`REORDER_CAP`] events pile up)
@@ -231,14 +232,14 @@ impl TraceAnalyzer {
     /// Approximate heap footprint of the analyzer state, in bytes —
     /// capacity-based, so it reflects what the allocator holds. Long-running
     /// hosts (the `onoff-serve` session table) charge this against a global
-    /// memory budget when deciding which sessions to evict. The scorer's
-    /// maps and reservoirs are bounded per cell, so they are covered by the
-    /// fixed per-session overhead the host adds on top.
+    /// memory budget when deciding which sessions to evict. It includes the
+    /// scorer's last-RSRP table and per-cell reservoirs, when scoring is on.
     pub fn mem_hint(&self) -> usize {
         self.timeline.mem_hint()
             + self.episodes.mem_hint()
             + self.classifier.mem_hint()
             + self.throughput.capacity() * std::mem::size_of::<(Timestamp, f64)>()
+            + self.scorer.as_ref().map_or(0, OnlineScorer::mem_hint)
     }
 
     /// Latest event time seen (`Timestamp(0)` before any event).

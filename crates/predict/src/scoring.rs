@@ -209,7 +209,9 @@ impl FeatureTracker {
     }
 }
 
-/// A bounded ring of the most recent scores for one cell.
+/// A bounded ring of the most recent scores for one cell. The ring's
+/// buffer grows with the scores pushed, up to `cap`, so a cell scored a
+/// handful of times holds a handful of slots.
 #[derive(Debug, Clone)]
 struct Reservoir {
     ring: Vec<f64>,
@@ -220,17 +222,21 @@ struct Reservoir {
 
 impl Reservoir {
     fn with_cap(cap: usize) -> Reservoir {
-        let cap = cap.max(1);
         Reservoir {
-            ring: Vec::with_capacity(cap),
+            ring: Vec::new(),
             head: 0,
-            cap,
+            cap: cap.max(1),
             total: 0,
         }
     }
 
     fn push(&mut self, x: f64) {
         if self.ring.len() < self.cap {
+            if self.ring.len() == self.ring.capacity() {
+                // Double, as `push` would, but never past the bound.
+                let grow = self.ring.len().max(4).min(self.cap - self.ring.len());
+                self.ring.reserve_exact(grow);
+            }
             self.ring.push(x);
         } else {
             self.ring[self.head] = x;
@@ -366,6 +372,15 @@ impl OnlineScorer {
                 .or_insert_with(|| Reservoir::with_cap(cap))
                 .push(p);
         }
+    }
+
+    /// Approximate heap footprint in bytes, capacity-based: the last-RSRP
+    /// table, the reservoir map and every reservoir's ring.
+    pub fn mem_hint(&self) -> usize {
+        let rings: usize = self.reservoirs.values().map(|r| r.ring.capacity()).sum();
+        self.tracker.meas.mem_hint()
+            + self.reservoirs.mem_hint()
+            + rings * std::mem::size_of::<f64>()
     }
 
     /// Resets per-session state (serving set, measurement table, reservoir

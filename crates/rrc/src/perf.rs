@@ -611,6 +611,12 @@ impl<K, V> FxMap<K, V> {
         self.len = 0;
     }
 
+    /// Heap bytes of the slot array (capacity-based, like the analyzers'
+    /// `mem_hint`s); heap the values own is not counted.
+    pub fn mem_hint(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Option<(K, V)>>()
+    }
+
     /// Iterates keys in unspecified order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.iter().map(|(k, _)| k)

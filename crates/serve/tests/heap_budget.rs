@@ -6,8 +6,10 @@
 //! (DESIGN.md §15). This test pins that: 64 concurrent sessions, scoring
 //! on, each fed one simulated five-minute trace in 64-event
 //! `ingest_drain` frames round-robin, must peak within [`BUDGET_BYTES`]
-//! of live heap. Sessions that copy every event into a log again
-//! (≈ 18 MB here) fail it.
+//! of live heap. It reads ≈ 2.0 MB with the OFF classifier keeping the
+//! rows of the last three measurement reports; keeping 20 s of report
+//! rows (≈ 2.8 MB) fails it, and so do sessions that copy every event
+//! into a log again (≈ 18 MB).
 //!
 //! The allocator counts live bytes for the measuring thread only, through
 //! a const-initialised thread-local flag, so tests running in parallel in
@@ -24,8 +26,8 @@ use onoff_policy::PhoneModel;
 use onoff_rrc::trace::TraceEvent;
 use onoff_serve::{ServeConfig, SessionMeta, SessionTable};
 
-/// Peak live heap allowed for the whole fleet.
-const BUDGET_BYTES: i64 = 4 << 20;
+/// Peak live heap allowed for the whole fleet: 2.5 MiB.
+const BUDGET_BYTES: i64 = 5 << 19;
 /// Concurrent sessions.
 const SESSIONS: usize = 64;
 /// Locations per area whose traces the sessions stream.

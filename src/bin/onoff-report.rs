@@ -17,16 +17,30 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The CSV tables `--csv` can print.
+enum Csv {
+    Timeline,
+    Transitions,
+    Cycles,
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut csv: Option<String> = None;
+    let mut csv: Option<Csv> = None;
     let mut stats = false;
     let mut path: Option<String> = None;
     let mut it = args.into_iter();
+    // Every argument is checked here, before the capture is read.
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--csv" => match it.next() {
-                Some(kind) => csv = Some(kind),
+            "--csv" => match it.next().as_deref() {
+                Some("timeline") => csv = Some(Csv::Timeline),
+                Some("transitions") => csv = Some(Csv::Transitions),
+                Some("cycles") => csv = Some(Csv::Cycles),
+                Some(other) => {
+                    eprintln!("unknown CSV kind {other:?} (timeline|transitions|cycles)");
+                    return ExitCode::from(2);
+                }
                 None => return usage(),
             },
             "--stats" => stats = true,
@@ -36,6 +50,10 @@ fn main() -> ExitCode {
         }
     }
     let Some(path) = path else { return usage() };
+    if stats && csv.is_some() {
+        eprintln!("error: --stats and --csv cannot be combined");
+        return usage();
+    }
 
     let text = if path == "-" {
         let mut buf = String::new();
@@ -82,24 +100,20 @@ fn main() -> ExitCode {
     }
 
     let report = fiveg_onoff::analyze_events(&events);
-    match csv.as_deref() {
+    match csv {
         None => print!("{}", fiveg_onoff::render_report(&report)),
-        Some("timeline") => print!("{}", onoff_detect::export::timeline_csv(&report.analysis)),
-        Some("transitions") => {
+        Some(Csv::Timeline) => print!("{}", onoff_detect::export::timeline_csv(&report.analysis)),
+        Some(Csv::Transitions) => {
             print!(
                 "{}",
                 onoff_detect::export::transitions_csv(&report.analysis.off_transitions)
             )
         }
-        Some("cycles") => {
+        Some(Csv::Cycles) => {
             print!(
                 "{}",
                 onoff_detect::export::cycles_csv(&report.analysis.loops)
             )
-        }
-        Some(other) => {
-            eprintln!("unknown CSV kind {other:?} (timeline|transitions|cycles)");
-            return ExitCode::from(2);
         }
     }
     ExitCode::SUCCESS

@@ -143,10 +143,11 @@ pub fn render_report(report: &LoopReport) -> String {
         m.median_off_mbps
             .map_or("n/a".into(), |v| format!("{v:.1} Mbps")),
     ));
+    // The first sample is the opening set, not a change.
     out.push_str(&format!(
         "serving-cell sets: {} unique, {} transitions\n",
         report.analysis.timeline.unique_sets(),
-        report.analysis.timeline.samples.len(),
+        report.analysis.timeline.samples.len().saturating_sub(1),
     ));
     if report.findings.is_empty() {
         out.push_str("no 5G ON-OFF loop detected\n");

@@ -1,7 +1,8 @@
 //! The `onoff-report` binary end to end: every output mode on a capture
 //! with a persistent loop and on one without, stdin input, and the exit
-//! codes of a parse error (1) and of a usage error (2). Expected stdout is
-//! pinned byte for byte under `tests/fixtures/onoff-report/`.
+//! codes of a parse error (1) and of usage errors (2), which are found
+//! before the capture is read. Expected stdout is pinned byte for byte
+//! under `tests/fixtures/onoff-report/`.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -114,6 +115,36 @@ fn no_arguments_is_a_usage_error() {
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
         "usage: onoff-report [--csv timeline|transitions|cycles] [--stats] <log-file|->\n"
+    );
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn unknown_csv_kind_is_a_usage_error_before_reading() {
+    // The capture does not exist: the kind must be refused first.
+    let out = run(&["--csv", "bogus", "/nonexistent.log"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "unknown CSV kind \"bogus\" (timeline|transitions|cycles)\n"
+    );
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn stats_with_csv_is_a_usage_error() {
+    let out = run(&[
+        "--stats",
+        "--csv",
+        "cycles",
+        capture("clean.log").to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr)
+            .starts_with("error: --stats and --csv cannot be combined\n"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
     assert!(out.stdout.is_empty());
 }
