@@ -43,7 +43,14 @@
 //! metered repetitions; the reported numbers are the median-wall
 //! repetition's (alloc count included), which is what a steady-state
 //! deployment sees — min-of-N systematically reported lucky scheduling
-//! windows on shared machines.
+//! windows on shared machines. A repetition is a fixed number of passes
+//! over the workload: one for the workloads that run for milliseconds
+//! already, enough for ≥ ~10 ms for the sub-millisecond ones (`extract`,
+//! `detect`, `stream-feed`, `predict`, `store-encode`, `store-replay`),
+//! whose single passes are too short to time on a shared machine. A
+//! repetition's events, bytes and allocations are summed over its passes,
+//! so events/sec and allocs/event mean what they mean for one pass, and
+//! the allocation counts stay exactly reproducible.
 //!
 //! The snapshot schema (`perfsnap/v2`) is one JSON object with a
 //! `machine` block (the CPU model `/proc/cpuinfo` names,
@@ -51,10 +58,10 @@
 //! that built perfsnap: wall numbers compare only between snapshots of
 //! one machine and toolchain; `--check` does not read it) and a
 //! `workloads` array;
-//! each entry carries `events`, `bytes`, `wall_ms`,
+//! each entry carries `events`, `bytes`, `wall_ms` (all per repetition),
 //! `events_per_sec`, `bytes_per_sec`, `allocs`, `allocs_per_event`,
-//! `repetitions`, and — with `--check` — the baseline's numbers under
-//! `"before"`. `--check` fails when a workload has no baseline entry,
+//! `repetitions`, `passes`, and — with `--check` — the baseline's numbers
+//! under `"before"`. `--check` fails when a workload has no baseline entry,
 //! when its events/sec drops below half the baseline's or its
 //! allocs/event rises above twice the baseline's (at least 0.5), or when
 //! any absolute floor in `verdict` is broken.
@@ -110,7 +117,7 @@ fn metered<T>(f: impl FnOnce() -> T) -> (T, u64, f64) {
 }
 
 /// One workload's measured numbers: the median-ranked repetition, with
-/// the repetition count it was drawn from.
+/// the repetition count it was drawn from and the passes each ran.
 #[derive(Debug, Clone, Copy)]
 struct Sample {
     events: u64,
@@ -118,6 +125,7 @@ struct Sample {
     wall_s: f64,
     allocs: u64,
     repetitions: u32,
+    passes: u32,
 }
 
 impl Sample {
@@ -134,31 +142,50 @@ impl Sample {
     }
 }
 
-/// Measures `f` (which returns the processed (events, bytes)) `reps`
-/// times after one unmetered warm-up pass, reporting the median-wall
-/// repetition (its alloc count travels with it). The warm-up keeps
+/// Metered repetitions per workload.
+const REPETITIONS: u32 = 5;
+
+/// Measures [`REPETITIONS`] repetitions of `passes` back-to-back passes of
+/// `f` (each returning the (events, bytes) it processed) after one
+/// unmetered warm-up pass, reporting the median-wall repetition with its
+/// totals (its alloc count travels with it). The warm-up keeps
 /// lazily-built structures — allocator arenas, page faults, file-backed
 /// code — out of every measured rep; the median filters shared-machine
 /// noise in *both* directions, where the old min-of-N systematically
 /// reported a lucky scheduling window no steady-state deployment sees.
-fn run_workload(reps: u32, mut f: impl FnMut() -> (u64, u64)) -> Sample {
-    let reps = reps.max(1);
+fn run_workload(passes: u32, mut f: impl FnMut() -> (u64, u64)) -> Sample {
+    let passes = passes.max(1);
     std::hint::black_box(f());
-    let mut samples: Vec<Sample> = (0..reps)
+    let mut samples: Vec<Sample> = (0..REPETITIONS)
         .map(|_| {
-            let ((events, bytes), allocs, wall_s) = metered(&mut f);
+            let ((events, bytes), allocs, wall_s) = metered(|| {
+                (0..passes).fold((0, 0), |(events, bytes), _| {
+                    let (e, b) = f();
+                    (events + e, bytes + b)
+                })
+            });
             Sample {
                 events,
                 bytes,
                 wall_s,
                 allocs,
-                repetitions: reps,
+                repetitions: REPETITIONS,
+                passes,
             }
         })
         .collect();
     samples.sort_by(|a, b| a.wall_s.total_cmp(&b.wall_s));
     samples[samples.len() / 2]
 }
+
+/// Passes per repetition of the short workloads, each sized so a
+/// repetition lasts ≥ ~10 ms on 2 Xeon vCPUs: `extract` (~0.06
+/// ms per pass), `detect` and `stream-feed` (~0.55 ms), `predict` (~1.5-2.5
+/// ms) and the store workloads (~2-2.5 ms).
+const EXTRACT_PASSES: u32 = 256;
+const DETECT_PASSES: u32 = 32;
+const PREDICT_PASSES: u32 = 8;
+const STORE_PASSES: u32 = 8;
 
 /// The fixed simulated run every in-process workload is built from.
 fn sample_events() -> Vec<TraceEvent> {
@@ -252,7 +279,7 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
     let n = events.len() as u64;
     let bytes = text.len() as u64;
 
-    let parse = run_workload(5, || {
+    let parse = run_workload(1, || {
         let parsed = onoff_nsglog::parse_str(&text).expect("workload text parses");
         (parsed.len() as u64, bytes)
     });
@@ -261,27 +288,27 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
     // of its record attempts to it, more than the chaos campaign averages.
     let dirty = chaos_text(&text, &ChaosConfig::default(), 0xD187).0;
     let mut lossy = Vec::new();
-    let parse_lossy = run_workload(5, || {
+    let parse_lossy = run_workload(1, || {
         let stats = parse_str_lossy_into(&dirty, RecoveryPolicy::SkipAndCount, &mut lossy);
         (stats.records as u64, dirty.len() as u64)
     });
-    let emit = run_workload(5, || {
+    let emit = run_workload(1, || {
         let emitted = onoff_nsglog::emit(&events);
         (n, emitted.len() as u64)
     });
-    let extract = run_workload(5, || {
+    let extract = run_workload(EXTRACT_PASSES, || {
         let tl = extract_timeline(&events);
         std::hint::black_box(tl.samples.len());
         (n, 0)
     });
-    let detect = run_workload(5, || {
+    let detect = run_workload(DETECT_PASSES, || {
         let analysis = analyze_trace(&events);
         std::hint::black_box(analysis.loops.len());
         (n, 0)
     });
-    let stream = run_workload(5, || stream_feed(&events));
+    let stream = run_workload(DETECT_PASSES, || stream_feed(&events));
     let long = tile(&base, 32);
-    let stream_8x = run_workload(5, || stream_feed(&long));
+    let stream_8x = run_workload(1, || stream_feed(&long));
     let predict = {
         // Warm pass outside the metered region: the first traversal grows
         // the measurement table and per-cell reservoirs once. After
@@ -291,7 +318,7 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
         for ev in &events {
             scorer.feed(ev);
         }
-        run_workload(5, || {
+        run_workload(PREDICT_PASSES, || {
             scorer.reset_session();
             for ev in &events {
                 scorer.feed(ev);
@@ -313,23 +340,21 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
         cfg.meas_period_ms = 1000;
         cfg
     };
-    let sim_step = run_workload(5, || {
+    let sim_step = run_workload(1, || {
         let out = simulate(&sim_cfg);
         (out.events.len() as u64, 0)
     });
     let store_bytes = onoff_store::encode_events(&events);
-    // The store workloads finish in ~1-2ms, so their median needs more
-    // reps than the tens-of-ms workloads to filter scheduler noise.
-    let store_encode = run_workload(21, || {
+    let store_encode = run_workload(STORE_PASSES, || {
         let encoded = onoff_store::encode_events(&events);
         std::hint::black_box(encoded.len());
         (n, encoded.len() as u64)
     });
-    let store_replay = run_workload(21, || {
+    let store_replay = run_workload(STORE_PASSES, || {
         let reader = StoreReader::new(&store_bytes).expect("freshly encoded store is valid");
         let mut core = TraceAnalyzer::new();
         reader
-            .replay(RecoveryPolicy::SkipAndCount, &mut core)
+            .replay(RecoveryPolicy::SkipAndCount, |ev| core.feed(ev))
             .expect("lossy replay never errors");
         let analysis = core.finish();
         std::hint::black_box(analysis.loops.len());
@@ -341,7 +366,7 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
     // syscalls). The budget is wide open so nothing spills; eviction cost
     // is the chaos suites' concern, steady-state ingest is the number the
     // perf floor pins.
-    let serve_ingest = run_workload(5, || {
+    let serve_ingest = run_workload(1, || {
         let engine = ServeEngine::new(ServeConfig {
             global_budget: 16 << 30,
             session_budget: 64 << 20,
@@ -363,7 +388,7 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
         std::hint::black_box(engine.table().bytes_used());
         (fed, 0)
     });
-    let campaign = run_workload(5, || {
+    let campaign = run_workload(1, || {
         let cfg = CampaignConfig {
             seed: 0x050FF,
             runs_a1: 1,
@@ -465,7 +490,7 @@ fn render(
         out.push_str(&format!(
             "    {{\"name\": \"{name}\", \"events\": {}, \"bytes\": {}, \"wall_ms\": {:.3}, \
              \"events_per_sec\": {:.0}, \"bytes_per_sec\": {:.0}, \"allocs\": {}, \
-             \"allocs_per_event\": {:.3}, \"repetitions\": {}",
+             \"allocs_per_event\": {:.3}, \"repetitions\": {}, \"passes\": {}",
             s.events,
             s.bytes,
             s.wall_s * 1e3,
@@ -474,6 +499,7 @@ fn render(
             s.allocs,
             s.allocs_per_event(),
             s.repetitions,
+            s.passes,
         ));
         if let Some((_, p)) = priors.iter().find(|(n, _)| n == name) {
             out.push_str(&format!(
@@ -672,6 +698,7 @@ mod tests {
             wall_s: events as f64 / events_per_sec,
             allocs,
             repetitions: 5,
+            passes: 1,
         }
     }
 

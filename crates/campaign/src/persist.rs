@@ -65,7 +65,7 @@ pub fn reanalyze_trace(
     let bytes = std::fs::read(path)?;
     let reader = StoreReader::new(&bytes).map_err(invalid)?;
     let mut core = TraceAnalyzer::new();
-    let stats = reader.replay(policy, &mut core).map_err(invalid)?;
+    let stats = reader.replay(policy, |ev| core.feed(ev)).map_err(invalid)?;
     Ok((core.finish(), stats))
 }
 

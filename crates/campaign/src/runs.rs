@@ -518,12 +518,10 @@ struct Aggregates {
 impl Merge for Aggregates {
     fn merge(&mut self, other: Aggregates) {
         self.records.extend(other.records);
-        // Fully qualified: `FxMap` may grow an inherent `merge` one day
-        // (unstable_name_collisions).
-        Merge::merge(&mut self.usage_nr, other.usage_nr);
-        Merge::merge(&mut self.usage_lte, other.usage_lte);
-        Merge::merge(&mut self.scell_mod, other.scell_mod);
-        Merge::merge(&mut self.quarantine, other.quarantine);
+        self.usage_nr.merge(other.usage_nr);
+        self.usage_lte.merge(other.usage_lte);
+        self.scell_mod.merge(other.scell_mod);
+        self.quarantine.merge(other.quarantine);
         self.attempts += other.attempts;
         self.events_processed += other.events_processed;
         self.simulated_ms += other.simulated_ms;

@@ -35,9 +35,9 @@ pub trait Merge {
 
 /// Per-channel usage counters.
 ///
-/// The hot accumulation paths hash into open-addressed [`FxMap`]s; the
-/// serialized form is still a key-sorted JSON object, so persisted output
-/// is byte-identical to the previous `BTreeMap` representation.
+/// The hot accumulation paths hash into [`FxMap`]s; the serialized form
+/// is still a key-sorted JSON object, so persisted output is
+/// byte-identical to the previous `BTreeMap` representation.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChannelUsage {
     /// channel → number of serving appearances in no-loop runs.
@@ -100,7 +100,7 @@ impl ChannelUsage {
 
     /// Aggregated loop bucket across all types.
     pub fn loop_total(&self) -> FxMap<u32, u64> {
-        let mut out: FxMap<u32, u64> = FxMap::new();
+        let mut out: FxMap<u32, u64> = FxMap::default();
         for bucket in self.per_type.values() {
             for (&ch, &n) in bucket.iter() {
                 *out.entry(ch).or_insert(0) += n;
@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn shares_of_empty_bucket() {
-        let shares = ChannelUsage::shares(&FxMap::new());
+        let shares = ChannelUsage::shares(&FxMap::default());
         assert!(shares.is_empty());
     }
 }

@@ -171,13 +171,9 @@ impl TraceAnalyzer {
     }
 
     /// Advances the automata with an event already known to be in
-    /// nondecreasing timestamp order — the fast path [`feed`](Self::feed)
-    /// takes once it has ruled out a backwards timestamp, exposed for
-    /// callers that can prove ordering themselves (the binary trace
-    /// store's segment replay, whose per-segment `ordered` flag certifies
-    /// it at encode time). Feeding an out-of-order event here corrupts
-    /// the quarantine accounting — when in doubt, use `feed`.
-    pub fn feed_in_order(&mut self, ev: &TraceEvent) {
+    /// nondecreasing timestamp order: the body of [`feed`](Self::feed),
+    /// once it has ruled out (or clamped) a backwards timestamp.
+    fn feed_in_order(&mut self, ev: &TraceEvent) {
         debug_assert!(
             ev.t() >= self.max_t,
             "feed_in_order given a backwards event ({:?} < {:?})",
@@ -358,10 +354,12 @@ impl StreamingAnalyzer {
         StreamingAnalyzer::default()
     }
 
-    /// Approximate heap footprint (core automata plus the reorder buffer),
-    /// capacity-based. See [`TraceAnalyzer::mem_hint`].
+    /// Approximate heap footprint (core automata plus the reorder buffer
+    /// and the heap its pending events own, such as a long report's
+    /// rows), capacity-based. See [`TraceAnalyzer::mem_hint`].
     pub fn mem_hint(&self) -> usize {
-        self.core.mem_hint() + self.pending.capacity() * std::mem::size_of::<TraceEvent>()
+        let owned: usize = self.pending.iter().map(TraceEvent::heap_bytes).sum();
+        self.core.mem_hint() + self.pending.capacity() * std::mem::size_of::<TraceEvent>() + owned
     }
 
     /// Read access to the wrapped incremental core (no buffer flush).

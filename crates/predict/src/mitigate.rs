@@ -102,7 +102,7 @@ impl ScellOnlyRelease {
     pub fn new() -> ScellOnlyRelease {
         ScellOnlyRelease {
             replay: ServingReplay::new(),
-            rsrp: FxMap::new(),
+            rsrp: FxMap::default(),
             last_report: InlineVec::new(),
             pending_mod: None,
             last_mod: None,

@@ -16,8 +16,8 @@
 //! ([`OnlineScorer::feed_with_set`]), so each event is replayed once; a
 //! standalone scorer ([`OnlineScorer::feed`]) runs a replay of its own.
 //! The per-event path performs zero heap allocations: the replay holds a
-//! pending command inline, and the measurement table is an
-//! open-addressing [`FxMap`] that only grows on first sight of a cell.
+//! pending command inline, and the measurement table is an [`FxMap`]
+//! that only grows on first sight of a cell.
 //!
 //! Because scoring depends only on the order of events (timestamps are
 //! never read), hosting the scorer inside the detect crate's batch and
@@ -209,6 +209,21 @@ impl FeatureTracker {
     }
 }
 
+/// Heap bytes `std`'s table allocates for `map`: its buckets (about 1/8
+/// of them kept empty, so `capacity()` alone undercounts) times the entry
+/// size, padded to the 16-byte control-group alignment, plus one control
+/// byte per bucket and one trailing group.
+fn table_bytes<K, V>(map: &FxMap<K, V>) -> usize {
+    const GROUP: usize = 16;
+    let cap = map.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    // `capacity()` is `buckets - 1` below 8 buckets and 7/8 of them above.
+    let buckets = if cap < 8 { cap + 1 } else { cap / 7 * 8 };
+    (buckets * std::mem::size_of::<(K, V)>()).next_multiple_of(GROUP) + buckets + GROUP
+}
+
 /// A bounded ring of the most recent scores for one cell. The ring's
 /// buffer grows with the scores pushed, up to `cap`, so a cell scored a
 /// handful of times holds a handful of slots.
@@ -320,7 +335,7 @@ impl OnlineScorer {
             config,
             replay: ServingReplay::new(),
             tracker: FeatureTracker::default(),
-            reservoirs: FxMap::new(),
+            reservoirs: FxMap::default(),
             scored: 0,
             score_sum: 0.0,
         }
@@ -378,8 +393,8 @@ impl OnlineScorer {
     /// table, the reservoir map and every reservoir's ring.
     pub fn mem_hint(&self) -> usize {
         let rings: usize = self.reservoirs.values().map(|r| r.ring.capacity()).sum();
-        self.tracker.meas.mem_hint()
-            + self.reservoirs.mem_hint()
+        table_bytes(&self.tracker.meas)
+            + table_bytes(&self.reservoirs)
             + rings * std::mem::size_of::<f64>()
     }
 

@@ -47,7 +47,7 @@ pub use messages::{
     MeasResult, MeasurementReport, ReconfigBody, ReestablishmentCause, RrcMessage, ScellAddMod,
     ScgFailureType, Trigger,
 };
-pub use perf::{FxMap, InlineVec, StrInterner, Symbol};
+pub use perf::{FxMap, InlineVec};
 pub use reselection::{RankingParams, SelectionParams};
 pub use serving::{CellGroup, CellRole, ConnState, ServingCellSet, ServingReplay};
 pub use timers::{RlfConfig, RlfDetector, T304};

@@ -1,33 +1,29 @@
 //! Allocation-discipline primitives for the hot analysis path.
 //!
 //! The parse → extract → detect pipeline runs millions of events per
-//! campaign; this module holds the three small data structures that keep
-//! that path off the heap:
+//! campaign; this module holds the two small primitives that keep that
+//! path off the heap and off the slow hasher:
 //!
 //! * [`InlineVec`] — a small-vector storing up to `N` elements inline and
 //!   spilling to a `Vec` beyond that. Reconfiguration add/release lists and
 //!   measurement-report rows are almost always tiny (≤4 cells in practice),
 //!   so cloning a record into the classifier's evidence window stops
 //!   allocating.
-//! * [`FxMap`] — a hand-rolled FxHash open-addressing map for hot counters
-//!   (channel usage histograms, campaign aggregation shards). No removal —
-//!   the counters only ever grow — which keeps probing tombstone-free. It
-//!   serializes exactly like `BTreeMap` (sorted string keys), so persisted
-//!   output stays bitwise identical at any worker count.
-//! * [`StrInterner`] — a string interner mapping labels to dense
-//!   [`Symbol`] ids, for analysis layers that want compact keys for
-//!   free-form strings (cell labels, message names) without per-record
-//!   `String` churn.
+//! * [`FxMap`] — `std`'s `HashMap` under rustc's FxHash ([`FxHasher`]) for
+//!   hot counters and per-cell tables (channel usage histograms, campaign
+//!   aggregation shards, the scorer's last-RSRP table). The hasher is what
+//!   buys the speed over `HashMap`'s default SipHash; the serde shim
+//!   serializes any `HashMap` as a key-sorted object, exactly like
+//!   `BTreeMap`, so persisted output stays bitwise identical at any worker
+//!   count.
 //!
 //! `onoff-rrc` sits at the bottom of the workspace graph, so these types
 //! live here, where every layer above can reach them (downstream users
 //! through `fiveg_onoff::rrc::perf`).
-//!
-//! Everything is implemented from scratch against the offline shim-based
-//! workspace: no registry dependencies.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::mem::MaybeUninit;
 
 use serde::{de, Deserialize, Serialize, Value};
@@ -141,6 +137,15 @@ impl<T, const N: usize> InlineVec<T, N> {
         v.extend_from_slice(src);
         InlineVec {
             repr: Repr::Heap(v),
+        }
+    }
+
+    /// Heap bytes the vector owns: its spilled buffer's capacity, or 0
+    /// while the elements sit inline.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Inline { .. } => 0,
+            Repr::Heap(v) => v.capacity() * std::mem::size_of::<T>(),
         }
     }
 
@@ -455,15 +460,17 @@ impl<T: Deserialize, const N: usize> Deserialize for InlineVec<T, N> {
 }
 
 // ---------------------------------------------------------------------------
-// FxMap
+// FxHasher / FxMap
 // ---------------------------------------------------------------------------
 
 /// The FxHash multiplication constant (from rustc's hasher).
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// rustc's FxHash: fold words into the state with rotate–xor–multiply.
-/// Not collision-resistant against adversaries — these maps only ever key
-/// on trusted internal values (channel numbers, enum tags, operators).
+/// Not collision-resistant against adversaries: these maps key on
+/// internal values (channel numbers, enum tags, operators, cells) and, in
+/// the store encoder's dictionaries, on a trace's cells and trigger
+/// labels, where crafted collisions could only slow encoding down.
 #[derive(Default)]
 pub struct FxHasher {
     hash: u64,
@@ -522,453 +529,24 @@ impl Hasher for FxHasher {
     }
 }
 
-fn fx_hash<K: Hash + ?Sized>(key: &K) -> u64 {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// An open-addressing hash map (FxHash, linear probing, power-of-two
-/// capacity) for hot-path counters.
-///
-/// Deliberately minimal: insertion, lookup, and iteration only — the
-/// counter maps it replaces never remove keys, so probing needs no
-/// tombstones. Serialization sorts keys (through the BTree-backed JSON
-/// object), so output is byte-identical to the `BTreeMap` it replaced
-/// regardless of insertion order — the workers-invariance property the
-/// campaign relies on.
+/// `std`'s `HashMap` hashed with [`FxHasher`], for hot-path counters and
+/// tables. Build one with `FxMap::default()`. Iteration order is
+/// unspecified, so every caller either folds order-independently (sums,
+/// maxima) or sorts; serialization sorts keys (through the BTree-backed
+/// JSON object), so output is byte-identical to a `BTreeMap`'s regardless
+/// of insertion order — the workers-invariance property the campaign
+/// relies on.
 ///
 /// ```
 /// use onoff_rrc::perf::FxMap;
 ///
-/// let mut m: FxMap<u32, u64> = FxMap::new();
+/// let mut m: FxMap<u32, u64> = FxMap::default();
 /// *m.entry(387410).or_insert(0) += 1;
 /// *m.entry(387410).or_insert(0) += 1;
 /// assert_eq!(m.get(&387410), Some(&2));
 /// assert_eq!(m.len(), 1);
 /// ```
-pub struct FxMap<K, V> {
-    /// Power-of-two slot array; `None` = empty (no tombstones).
-    slots: Box<[Option<(K, V)>]>,
-    len: usize,
-}
-
-impl<K, V> FxMap<K, V> {
-    /// An empty map (no allocation until the first insert).
-    pub fn new() -> FxMap<K, V> {
-        FxMap {
-            slots: Box::default(),
-            len: 0,
-        }
-    }
-
-    /// An empty map pre-sized for `cap` entries.
-    pub fn with_capacity(cap: usize) -> FxMap<K, V> {
-        let mut m = FxMap::new();
-        if cap > 0 {
-            m.slots = empty_slots(slot_count_for(cap));
-        }
-        m
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterates entries in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|(k, v)| (k, v)))
-    }
-
-    /// Iterates entries mutably, in unspecified order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
-        self.slots
-            .iter_mut()
-            .filter_map(|s| s.as_mut().map(|(k, v)| (&*k, v)))
-    }
-
-    /// Iterates values mutably, in unspecified order — the online scorer's
-    /// session reset walks its per-cell reservoirs in place this way.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.iter_mut().map(|(_, v)| v)
-    }
-
-    /// Removes every entry, keeping the slot array: the map can be refilled
-    /// up to its previous size without reallocating. Streaming sessions
-    /// reset per-session state through this instead of rebuilding the map.
-    pub fn clear(&mut self) {
-        for slot in self.slots.iter_mut() {
-            *slot = None;
-        }
-        self.len = 0;
-    }
-
-    /// Heap bytes of the slot array (capacity-based, like the analyzers'
-    /// `mem_hint`s); heap the values own is not counted.
-    pub fn mem_hint(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Option<(K, V)>>()
-    }
-
-    /// Iterates keys in unspecified order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// Iterates values in unspecified order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
-    }
-}
-
-fn slot_count_for(entries: usize) -> usize {
-    // Load factor ≤ 0.75.
-    (entries * 4 / 3 + 1).next_power_of_two().max(8)
-}
-
-fn empty_slots<K, V>(n: usize) -> Box<[Option<(K, V)>]> {
-    let mut v = Vec::with_capacity(n);
-    v.resize_with(n, || None);
-    v.into_boxed_slice()
-}
-
-impl<K: Hash + Eq, V> FxMap<K, V> {
-    fn probe(&self, key: &K) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut idx = fx_hash(key) as usize & mask;
-        loop {
-            match &self.slots[idx] {
-                None => return None,
-                Some((k, _)) if k == key => return Some(idx),
-                Some(_) => idx = (idx + 1) & mask,
-            }
-        }
-    }
-
-    /// Looks up a key.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.probe(key)
-            .map(|i| &self.slots[i].as_ref().expect("probed slot is live").1)
-    }
-
-    /// Looks up a key, mutably.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.probe(key)
-            .map(|i| &mut self.slots[i].as_mut().expect("probed slot is live").1)
-    }
-
-    /// True when the key is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.probe(key).is_some()
-    }
-
-    /// Inserts a value, returning the previous one if present.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        if let Some(i) = self.probe(&key) {
-            let slot = self.slots[i].as_mut().expect("probed slot is live");
-            return Some(std::mem::replace(&mut slot.1, value));
-        }
-        self.insert_new(key, value);
-        None
-    }
-
-    /// Inserts a key known to be absent, growing as needed.
-    fn insert_new(&mut self, key: K, value: V) -> usize {
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
-            self.grow(slot_count_for(self.len + 1));
-        }
-        let mask = self.slots.len() - 1;
-        let mut idx = fx_hash(&key) as usize & mask;
-        while self.slots[idx].is_some() {
-            idx = (idx + 1) & mask;
-        }
-        self.slots[idx] = Some((key, value));
-        self.len += 1;
-        idx
-    }
-
-    fn grow(&mut self, new_slots: usize) {
-        let old = std::mem::replace(&mut self.slots, empty_slots(new_slots));
-        let mask = self.slots.len() - 1;
-        for entry in old.into_vec().into_iter().flatten() {
-            let (k, v) = entry;
-            let mut idx = fx_hash(&k) as usize & mask;
-            while self.slots[idx].is_some() {
-                idx = (idx + 1) & mask;
-            }
-            self.slots[idx] = Some((k, v));
-        }
-    }
-
-    /// Entry API covering the `entry(k).or_insert(v)` /
-    /// `entry(k).or_default()` idioms of the maps this replaces.
-    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
-        Entry { map: self, key }
-    }
-}
-
-impl<K, V> IntoIterator for FxMap<K, V> {
-    type Item = (K, V);
-    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Option<(K, V)>>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.slots.into_vec().into_iter().flatten()
-    }
-}
-
-/// A view into a single map entry (present or vacant).
-pub struct Entry<'a, K, V> {
-    map: &'a mut FxMap<K, V>,
-    key: K,
-}
-
-impl<'a, K: Hash + Eq, V> Entry<'a, K, V> {
-    /// Returns the value, inserting `default` when vacant.
-    pub fn or_insert(self, default: V) -> &'a mut V {
-        self.or_insert_with(|| default)
-    }
-
-    /// Returns the value, inserting `V::default()` when vacant.
-    pub fn or_default(self) -> &'a mut V
-    where
-        V: Default,
-    {
-        self.or_insert_with(V::default)
-    }
-
-    /// Returns the value, inserting `f()` when vacant.
-    pub fn or_insert_with(self, f: impl FnOnce() -> V) -> &'a mut V {
-        let idx = match self.map.probe(&self.key) {
-            Some(i) => i,
-            None => self.map.insert_new(self.key, f()),
-        };
-        &mut self.map.slots[idx].as_mut().expect("slot is live").1
-    }
-}
-
-impl<K, V> Default for FxMap<K, V> {
-    fn default() -> Self {
-        FxMap::new()
-    }
-}
-
-impl<K: Clone, V: Clone> Clone for FxMap<K, V> {
-    fn clone(&self) -> Self {
-        FxMap {
-            slots: self.slots.clone(),
-            len: self.len,
-        }
-    }
-}
-
-impl<K: fmt::Debug + Hash + Eq, V: fmt::Debug> fmt::Debug for FxMap<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
-    }
-}
-
-/// Order-independent equality, like `HashMap`'s.
-impl<K: Hash + Eq, V: PartialEq> PartialEq for FxMap<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().all(|(k, v)| other.get(k) == Some(v))
-    }
-}
-
-impl<K: Hash + Eq, V: Eq> Eq for FxMap<K, V> {}
-
-impl<K: Hash + Eq, V> std::ops::Index<&K> for FxMap<K, V> {
-    type Output = V;
-
-    fn index(&self, key: &K) -> &V {
-        self.get(key).expect("no entry found for key")
-    }
-}
-
-impl<K: Hash + Eq, V> FromIterator<(K, V)> for FxMap<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut m = FxMap::new();
-        for (k, v) in iter {
-            m.insert(k, v);
-        }
-        m
-    }
-}
-
-/// Converts a serialized key into a JSON object key the way serde_json
-/// (and the serde shim) do: strings pass through, numbers and bools
-/// stringify.
-fn key_to_string(v: Value) -> String {
-    match v {
-        Value::String(s) => s,
-        Value::Number(n) => n.to_json(),
-        Value::Bool(b) => b.to_string(),
-        other => panic!(
-            "map key must serialize to a string or number, got {}",
-            other.kind()
-        ),
-    }
-}
-
-/// Serializes as a sorted JSON object — byte-identical to the `BTreeMap`
-/// encoding (the serde shim's `Map` is BTree-backed, so insertion order
-/// never leaks into the output).
-impl<K: Serialize, V: Serialize> Serialize for FxMap<K, V> {
-    fn to_value(&self) -> Value {
-        let mut m = serde::Map::new();
-        for (k, v) in self.slots.iter().flatten() {
-            m.insert(key_to_string(k.to_value()), v.to_value());
-        }
-        Value::Object(m)
-    }
-}
-
-impl<K: Deserialize + Hash + Eq, V: Deserialize> Deserialize for FxMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        match v {
-            Value::Object(m) => {
-                let mut out = FxMap::with_capacity(m.len());
-                for (k, val) in m.iter() {
-                    let key = K::from_value(&Value::String(k.clone()))?;
-                    out.insert(key, V::from_value(val)?);
-                }
-                Ok(out)
-            }
-            _ => Err(de::Error::invalid_type("object", v)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// StrInterner
-// ---------------------------------------------------------------------------
-
-/// A dense id for an interned string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(pub u32);
-
-/// A string interner: `intern` maps equal strings to one stable
-/// [`Symbol`]; `resolve` returns the original text. Lookup is an FxHash
-/// open-addressing probe over the interned table, so re-interning a known
-/// label allocates nothing.
-///
-/// ```
-/// use onoff_rrc::perf::StrInterner;
-///
-/// let mut i = StrInterner::new();
-/// let a = i.intern("387410");
-/// let b = i.intern("521310");
-/// assert_ne!(a, b);
-/// assert_eq!(i.intern("387410"), a);
-/// assert_eq!(i.resolve(a), "387410");
-/// assert_eq!(i.len(), 2);
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct StrInterner {
-    /// Interned strings, indexed by `Symbol`.
-    strings: Vec<Box<str>>,
-    /// Open-addressing index into `strings` (`u32::MAX` = empty slot).
-    slots: Box<[u32]>,
-}
-
-const INTERN_EMPTY: u32 = u32::MAX;
-
-impl StrInterner {
-    /// An empty interner.
-    pub fn new() -> StrInterner {
-        StrInterner::default()
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True before anything is interned.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// Interns a string, returning its stable symbol. Only the first
-    /// occurrence of a given string allocates.
-    pub fn intern(&mut self, s: &str) -> Symbol {
-        if !self.slots.is_empty() {
-            let mask = self.slots.len() - 1;
-            let mut idx = fx_hash(s) as usize & mask;
-            loop {
-                let slot = self.slots[idx];
-                if slot == INTERN_EMPTY {
-                    break;
-                }
-                if &*self.strings[slot as usize] == s {
-                    return Symbol(slot);
-                }
-                idx = (idx + 1) & mask;
-            }
-        }
-        let sym = u32::try_from(self.strings.len()).expect("interner overflow");
-        self.strings.push(s.into());
-        if (self.strings.len() + 1) * 4 > self.slots.len() * 3 {
-            self.rebuild(slot_count_for(self.strings.len() + 1));
-        } else {
-            self.place(sym);
-        }
-        Symbol(sym)
-    }
-
-    /// Returns the interned text for a symbol.
-    ///
-    /// # Panics
-    /// Panics when the symbol came from a different interner (id out of
-    /// range).
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.0 as usize]
-    }
-
-    /// Looks up a string without interning it.
-    pub fn lookup(&self, s: &str) -> Option<Symbol> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut idx = fx_hash(s) as usize & mask;
-        loop {
-            let slot = self.slots[idx];
-            if slot == INTERN_EMPTY {
-                return None;
-            }
-            if &*self.strings[slot as usize] == s {
-                return Some(Symbol(slot));
-            }
-            idx = (idx + 1) & mask;
-        }
-    }
-
-    fn place(&mut self, sym: u32) {
-        let mask = self.slots.len() - 1;
-        let mut idx = fx_hash(&*self.strings[sym as usize]) as usize & mask;
-        while self.slots[idx] != INTERN_EMPTY {
-            idx = (idx + 1) & mask;
-        }
-        self.slots[idx] = sym;
-    }
-
-    fn rebuild(&mut self, n: usize) {
-        self.slots = vec![INTERN_EMPTY; n].into_boxed_slice();
-        for sym in 0..self.strings.len() as u32 {
-            self.place(sym);
-        }
-    }
-}
+pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -1028,71 +606,8 @@ mod tests {
     }
 
     #[test]
-    fn fxmap_insert_get_grow() {
-        let mut m: FxMap<u32, u64> = FxMap::new();
-        for i in 0..1000u32 {
-            m.insert(i, u64::from(i) * 2);
-        }
-        assert_eq!(m.len(), 1000);
-        for i in 0..1000u32 {
-            assert_eq!(m.get(&i), Some(&(u64::from(i) * 2)));
-        }
-        assert_eq!(m.get(&1000), None);
-        assert_eq!(m.insert(5, 99), Some(10));
-        assert_eq!(m[&5], 99);
-    }
-
-    #[test]
-    fn fxmap_entry_api() {
-        let mut m: FxMap<u32, u64> = FxMap::new();
-        *m.entry(7).or_insert(0) += 1;
-        *m.entry(7).or_insert(0) += 1;
-        *m.entry(8).or_default() += 5;
-        assert_eq!(m[&7], 2);
-        assert_eq!(m[&8], 5);
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn fxmap_clear_keeps_capacity_and_refills() {
-        let mut m: FxMap<u32, u64> = FxMap::new();
-        for i in 0..100u32 {
-            m.insert(i, u64::from(i));
-        }
-        let slots_before = m.slots.len();
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.slots.len(), slots_before, "clear must keep the slots");
-        assert_eq!(m.get(&5), None);
-        for i in 0..100u32 {
-            m.insert(i, u64::from(i) + 1);
-        }
-        assert_eq!(m.slots.len(), slots_before, "refill must not regrow");
-        assert_eq!(m[&5], 6);
-        for v in m.values_mut() {
-            *v *= 2;
-        }
-        assert_eq!(m[&5], 12);
-    }
-
-    #[test]
-    fn fxmap_eq_is_order_independent() {
-        let mut a: FxMap<u32, u64> = FxMap::new();
-        let mut b: FxMap<u32, u64> = FxMap::new();
-        for i in 0..50 {
-            a.insert(i, u64::from(i));
-        }
-        for i in (0..50).rev() {
-            b.insert(i, u64::from(i));
-        }
-        assert_eq!(a, b);
-        b.insert(99, 0);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn fxmap_serializes_sorted_like_btreemap() {
-        let mut fx: FxMap<u32, u64> = FxMap::new();
+        let mut fx: FxMap<u32, u64> = FxMap::default();
         let mut bt: std::collections::BTreeMap<u32, u64> = Default::default();
         for &(k, v) in &[(40u32, 1u64), (2, 2), (900, 3), (17, 4)] {
             fx.insert(k, v);
@@ -1101,18 +616,5 @@ mod tests {
         assert_eq!(fx.to_value(), bt.to_value());
         let back = FxMap::<u32, u64>::from_value(&fx.to_value()).unwrap();
         assert_eq!(back, fx);
-    }
-
-    #[test]
-    fn interner_roundtrips_and_dedups() {
-        let mut i = StrInterner::new();
-        let syms: Vec<Symbol> = (0..100).map(|n| i.intern(&format!("s{n}"))).collect();
-        assert_eq!(i.len(), 100);
-        for (n, sym) in syms.iter().enumerate() {
-            assert_eq!(i.resolve(*sym), format!("s{n}"));
-            assert_eq!(i.intern(&format!("s{n}")), *sym);
-        }
-        assert_eq!(i.lookup("s42"), Some(syms[42]));
-        assert_eq!(i.lookup("absent"), None);
     }
 }

@@ -15,8 +15,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::events::MeasEvent;
 use crate::ids::{CellId, Rat};
-use crate::messages::RrcMessage;
+use crate::messages::{RrcMessage, Trigger};
 
 /// Milliseconds since the start of the capture.
 #[derive(
@@ -218,6 +219,28 @@ impl TraceEvent {
         match self {
             TraceEvent::Rrc(r) => Some(r),
             _ => None,
+        }
+    }
+
+    /// Heap bytes the event owns beyond its own size: a measurement
+    /// report's spilled rows and free-form trigger label, a
+    /// reconfiguration's spilled SCell lists and its `measConfig`.
+    pub fn heap_bytes(&self) -> usize {
+        let Some(rec) = self.as_rrc() else { return 0 };
+        match &rec.msg {
+            RrcMessage::MeasurementReport(r) => {
+                let label = match &r.trigger {
+                    Some(Trigger::Other(label)) => label.len(),
+                    _ => 0,
+                };
+                r.results.heap_bytes() + label
+            }
+            RrcMessage::Reconfiguration(b) => {
+                b.scell_to_add_mod.heap_bytes()
+                    + b.scell_to_release.heap_bytes()
+                    + b.meas_config.capacity() * std::mem::size_of::<MeasEvent>()
+            }
+            _ => 0,
         }
     }
 }

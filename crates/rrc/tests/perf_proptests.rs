@@ -1,12 +1,8 @@
-//! Differential property tests for the allocation-avoiding primitives in
-//! `onoff_rrc::perf`: `InlineVec` must behave exactly like `Vec` through
-//! every operation sequence (including across the inline→heap spill
-//! boundary), the interner must round-trip arbitrary strings, and `FxMap`
-//! must agree with `BTreeMap` on any insert sequence.
+//! Differential property tests for `onoff_rrc::perf::InlineVec`: it must
+//! behave exactly like `Vec` through every operation sequence, including
+//! across the inline→heap spill boundary.
 
-use std::collections::BTreeMap;
-
-use onoff_rrc::perf::{FxMap, InlineVec, StrInterner};
+use onoff_rrc::perf::InlineVec;
 use proptest::prelude::*;
 
 /// One mutation step of the differential `InlineVec` ≡ `Vec` test.
@@ -89,40 +85,5 @@ proptest! {
         prop_assert_eq!(iv.spilled(), n > 4);
         let expect: Vec<u32> = (0..n as u32).collect();
         prop_assert_eq!(iv.as_slice(), expect.as_slice());
-    }
-
-    /// Interning any set of strings resolves each symbol back to its
-    /// exact source text, and re-interning is stable and allocation-free
-    /// in symbol terms (same symbol both times).
-    #[test]
-    fn interner_round_trips(strings in prop::collection::vec(".{0,24}", 0..32)) {
-        let mut interner = StrInterner::new();
-        let syms: Vec<_> = strings.iter().map(|s| interner.intern(s)).collect();
-        for (s, &sym) in strings.iter().zip(&syms) {
-            prop_assert_eq!(interner.resolve(sym), s.as_str());
-            prop_assert_eq!(interner.intern(s), sym);
-            prop_assert_eq!(interner.lookup(s), Some(sym));
-        }
-        // Distinct strings get distinct symbols; duplicates share one.
-        let distinct: std::collections::BTreeSet<_> = strings.iter().collect();
-        prop_assert_eq!(interner.len(), distinct.len());
-    }
-
-    /// `FxMap` agrees with `BTreeMap` on any insert/overwrite sequence.
-    #[test]
-    fn fxmap_matches_btreemap(pairs in prop::collection::vec((0u16..64, any::<u32>()), 0..64)) {
-        let mut fx: FxMap<u16, u32> = FxMap::new();
-        let mut bt: BTreeMap<u16, u32> = BTreeMap::new();
-        for (k, v) in pairs {
-            prop_assert_eq!(fx.insert(k, v), bt.insert(k, v));
-            prop_assert_eq!(fx.len(), bt.len());
-        }
-        for (k, v) in &bt {
-            prop_assert_eq!(fx.get(k), Some(v));
-        }
-        let mut flat: Vec<(u16, u32)> = fx.iter().map(|(&k, &v)| (k, v)).collect();
-        flat.sort_unstable();
-        let expect: Vec<(u16, u32)> = bt.iter().map(|(&k, &v)| (k, v)).collect();
-        prop_assert_eq!(flat, expect);
     }
 }

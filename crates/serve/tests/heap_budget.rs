@@ -11,6 +11,10 @@
 //! rows (≈ 2.8 MB) fails it, and so do sessions that copy every event
 //! into a log again (≈ 18 MB).
 //!
+//! The ledger that enforces such budgets charges each session its
+//! analyzer's `mem_hint`, so a second test pins that the hint covers what
+//! a scored session's analyzer really holds, pending reports included.
+//!
 //! The allocator counts live bytes for the measuring thread only, through
 //! a const-initialised thread-local flag, so tests running in parallel in
 //! this binary cannot disturb the figure. The traces are simulated before
@@ -21,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use onoff_campaign::{all_areas, run_location};
-use onoff_detect::ScoringConfig;
+use onoff_detect::{ScoringConfig, StreamingAnalyzer};
 use onoff_policy::PhoneModel;
 use onoff_rrc::trace::TraceEvent;
 use onoff_serve::{ServeConfig, SessionMeta, SessionTable};
@@ -152,4 +156,40 @@ fn concurrent_sessions_without_snapshot_dir_within_budget() {
         peak as f64 / 1_048_576.0,
         BUDGET_BYTES as f64 / 1_048_576.0,
     );
+}
+
+/// A scored session's `mem_hint` never falls below the live heap of its
+/// analyzer, checked after every event while the reorder buffer holds the
+/// last five seconds of the feed — measurement reports whose rows spilled
+/// past the inline eight among them. Each analyzer starts from zero live
+/// bytes and owns every event clone it is fed.
+#[test]
+fn scored_session_mem_hint_covers_its_live_heap() {
+    let traces = traces();
+    let mut checks = 0usize;
+    let (mut live_sum, mut hint_sum) = (0i64, 0usize);
+    TRACKING.with(|on| on.set(true));
+    for (i, trace) in traces.iter().enumerate() {
+        LIVE.with(|l| l.set(0));
+        let mut analyzer = StreamingAnalyzer::with_scoring(ScoringConfig::default());
+        for (n, ev) in trace.iter().enumerate() {
+            analyzer.feed(ev.clone());
+            let (live, hint) = (LIVE.with(Cell::get), analyzer.mem_hint());
+            assert!(
+                live <= hint as i64,
+                "trace {i}: after event {n} the analyzer held {live} B live, mem_hint {hint} B"
+            );
+            checks += 1;
+        }
+        live_sum += LIVE.with(Cell::get);
+        hint_sum += analyzer.mem_hint();
+    }
+    TRACKING.with(|on| on.set(false));
+    eprintln!(
+        "{} traces end at {} B live, {} B hinted on average",
+        traces.len(),
+        live_sum / traces.len() as i64,
+        hint_sum / traces.len()
+    );
+    assert!(checks > 10_000, "the check must cover a meaningful feed");
 }

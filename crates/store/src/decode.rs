@@ -15,7 +15,6 @@
 //! `decoded + skipped == records`, and decoding **never** panics on
 //! arbitrary input bytes.
 
-use onoff_detect::stream::TraceAnalyzer;
 use onoff_nsglog::RecoveryPolicy;
 use onoff_rrc::events::{EventKind, MeasEvent, Threshold, TriggerQuantity};
 use onoff_rrc::ids::{CellId, GlobalCellId, Pci, Rat};
@@ -27,7 +26,7 @@ use onoff_rrc::messages::{
 use onoff_rrc::trace::{LogChannel, LogRecord, MmState, Timestamp, TraceEvent};
 
 use crate::checksum::checksum;
-use crate::encode::{self, SEG_FLAG_ORDERED};
+use crate::encode;
 use crate::error::{Column, StoreError, StoreStats, COLUMNS};
 use crate::varint::Cursor;
 use crate::{FORMAT_VERSION, MAGIC};
@@ -44,15 +43,6 @@ struct Segment {
     /// Checksum over the segment's own header, stored in the directory so
     /// the (header-checksummed) file vouches for each segment's layout.
     header_checksum: u64,
-}
-
-/// Per-segment facts surfaced by a successful decode.
-#[derive(Debug, Clone, Copy)]
-struct SegmentInfo {
-    /// Timestamps were nondecreasing at encode time.
-    ordered: bool,
-    /// First record's timestamp (millis).
-    base_t: u64,
 }
 
 /// A validated view over a binary store file.
@@ -221,7 +211,7 @@ impl<'a> StoreReader<'a> {
         for idx in 0..self.segments.len() {
             let before = out.len();
             match self.decode_segment_into(idx, out) {
-                Ok(_) => stats.decoded += self.segments[idx].records,
+                Ok(()) => stats.decoded += self.segments[idx].records,
                 Err(e) => {
                     out.truncate(before);
                     self.account_skip(&mut stats, idx, e, policy)?;
@@ -231,43 +221,30 @@ impl<'a> StoreReader<'a> {
         Ok(stats)
     }
 
-    /// Decodes every segment straight into an analysis core.
-    ///
-    /// Segments whose `ordered` flag (set at encode time) certifies
-    /// nondecreasing timestamps — and whose base timestamp does not run
-    /// behind what was already fed — take the core's
-    /// [`feed_in_order`](TraceAnalyzer::feed_in_order) fast path; anything
-    /// else goes through the clamping [`feed`](TraceAnalyzer::feed).
-    /// Either way the core sees exactly the events `read_all` would
-    /// return, in the same order, so replay ≡ batch analysis over the
-    /// decoded events by construction.
+    /// Decodes every segment and hands its events, in file order, to
+    /// `sink` — typically an analysis core's `feed`, which quarantines any
+    /// backwards timestamp itself. The sink sees exactly the events
+    /// `read_all` would return, in the same order, so replay ≡ batch
+    /// analysis over the decoded events by construction.
     pub fn replay(
         &self,
         policy: RecoveryPolicy,
-        core: &mut TraceAnalyzer,
+        mut sink: impl FnMut(&TraceEvent),
     ) -> Result<StoreStats, StoreError> {
         let mut stats = self.fresh_stats();
-        // Events of one segment are staged here before feeding, so a
-        // decode failure skips the whole segment without having leaked a
-        // partial prefix into the core. One allocation for the largest
-        // segment, reused throughout.
+        // Events of one segment are staged here before the sink sees them,
+        // so a decode failure skips the whole segment without having
+        // leaked a partial prefix. One allocation for the largest segment,
+        // reused throughout.
         let mut scratch: Vec<TraceEvent> = Vec::new();
-        let mut fed_max = 0u64;
         for idx in 0..self.segments.len() {
             scratch.clear();
             match self.decode_segment_into(idx, &mut scratch) {
-                Ok(info) => {
+                Ok(()) => {
                     stats.decoded += self.segments[idx].records;
-                    if info.ordered && info.base_t >= fed_max {
-                        for ev in &scratch {
-                            core.feed_in_order(ev);
-                        }
-                    } else {
-                        for ev in &scratch {
-                            core.feed(ev);
-                        }
+                    for ev in &scratch {
+                        sink(ev);
                     }
-                    fed_max = scratch.iter().fold(fed_max, |m, ev| m.max(ev.t().millis()));
                 }
                 Err(e) => self.account_skip(&mut stats, idx, e, policy)?,
             }
@@ -303,11 +280,7 @@ impl<'a> StoreReader<'a> {
 
     /// Verifies and decodes one segment, appending its events to `out`.
     /// On error `out` is left exactly as it was.
-    fn decode_segment_into(
-        &self,
-        idx: usize,
-        out: &mut Vec<TraceEvent>,
-    ) -> Result<SegmentInfo, StoreError> {
+    fn decode_segment_into(&self, idx: usize, out: &mut Vec<TraceEvent>) -> Result<(), StoreError> {
         let seg = self.segments[idx];
         let bytes = &self.data[seg.start..seg.start + seg.len];
         let before = out.len();
@@ -324,12 +297,14 @@ impl<'a> StoreReader<'a> {
         seg: Segment,
         bytes: &[u8],
         out: &mut Vec<TraceEvent>,
-    ) -> Result<SegmentInfo, StoreError> {
+    ) -> Result<(), StoreError> {
         let corrupt_header = StoreError::SegmentHeader { segment: idx };
         // Frame the header. Nothing parsed here is trusted until the
         // checksum (stored in the already-verified directory) matches.
         let mut c = Cursor::new(bytes);
-        let flags = c.u8().ok_or(corrupt_header.clone())?;
+        // The flags byte (the encoder's ordered flag) is framed and
+        // checksummed with the header; decoding does not depend on it.
+        c.u8().ok_or(corrupt_header.clone())?;
         let base_t = c.u64().ok_or(corrupt_header.clone())?;
         let n_columns = c.u8().ok_or(corrupt_header.clone())?;
         if n_columns != COLUMNS.len() as u8 {
@@ -392,10 +367,7 @@ impl<'a> StoreReader<'a> {
                 what: "trailing bytes after the last record",
             });
         }
-        Ok(SegmentInfo {
-            ordered: flags & SEG_FLAG_ORDERED != 0,
-            base_t,
-        })
+        Ok(())
     }
 }
 

@@ -11,7 +11,7 @@ use onoff_rrc::messages::{
     MeasurementReport, ReconfigBody, ReestablishmentCause, RrcMessage, ScgFailureType, Trigger,
 };
 use onoff_rrc::trace::{LogChannel, MmState, TraceEvent};
-use onoff_rrc::{FxMap, StrInterner};
+use onoff_rrc::FxMap;
 
 use crate::checksum::checksum;
 use crate::varint::{put_i64, put_u64};
@@ -89,8 +89,7 @@ pub fn encode_events_with(events: &[TraceEvent], opts: &EncodeOptions) -> Vec<u8
         put_u64(&mut out, u64::from(cell.arfcn));
     }
     put_u64(&mut out, dicts.strings.len() as u64);
-    for i in 0..dicts.strings.len() {
-        let s = dicts.strings.resolve(onoff_rrc::Symbol(i as u32));
+    for s in &dicts.strings {
         put_u64(&mut out, s.len() as u64);
         out.extend_from_slice(s.as_bytes());
     }
@@ -112,31 +111,35 @@ struct SegmentMeta {
 }
 
 /// The shared dictionaries, in first-appearance order over the same
-/// traversal the column encoders use.
+/// traversal the column encoders use: each entry's position is its id.
+#[derive(Default)]
 pub(crate) struct Dicts {
     pub(crate) cells: Vec<CellId>,
-    index: FxMap<CellId, u32>,
-    pub(crate) strings: StrInterner,
+    cell_index: FxMap<CellId, u32>,
+    /// `Trigger::Other` labels, each kept once.
+    pub(crate) strings: Vec<Box<str>>,
+    string_index: FxMap<Box<str>, u32>,
 }
 
 impl Dicts {
-    fn cell(&mut self, cell: CellId) -> u32 {
-        if let Some(&i) = self.index.get(&cell) {
-            return i;
+    fn cell(&mut self, cell: CellId) {
+        if !self.cell_index.contains_key(&cell) {
+            self.cell_index.insert(cell, self.cells.len() as u32);
+            self.cells.push(cell);
         }
-        let i = self.cells.len() as u32;
-        self.cells.push(cell);
-        self.index.insert(cell, i);
-        i
+    }
+
+    fn string(&mut self, label: &str) {
+        if !self.string_index.contains_key(label) {
+            self.string_index
+                .insert(label.into(), self.strings.len() as u32);
+            self.strings.push(label.into());
+        }
     }
 }
 
 fn build_dicts(events: &[TraceEvent]) -> Dicts {
-    let mut d = Dicts {
-        cells: Vec::new(),
-        index: FxMap::new(),
-        strings: StrInterner::new(),
-    };
+    let mut d = Dicts::default();
     for ev in events {
         let TraceEvent::Rrc(rec) = ev else { continue };
         if let Some(ctx) = rec.context {
@@ -162,7 +165,7 @@ fn build_dicts(events: &[TraceEvent]) -> Dicts {
             }
             RrcMessage::MeasurementReport(report) => {
                 if let Some(Trigger::Other(label)) = &report.trigger {
-                    d.strings.intern(label);
+                    d.string(label);
                 }
                 for r in report.results.iter() {
                     d.cell(r.cell);
@@ -210,9 +213,10 @@ impl Columns {
     }
 }
 
-/// Segment-header flag: timestamps are nondecreasing within the segment,
-/// certifying the reader's `feed_in_order` fast path.
-pub(crate) const SEG_FLAG_ORDERED: u8 = 1;
+/// Segment-header flag: timestamps are nondecreasing within the segment.
+/// Format v1 records it; the reader checksums it with the header and
+/// decodes the same way either way.
+const SEG_FLAG_ORDERED: u8 = 1;
 
 /// Encodes one chunk into `out`; returns the segment header's byte length
 /// (the span the directory's header checksum covers).
@@ -329,7 +333,7 @@ fn message_tag(msg: &RrcMessage) -> u8 {
 
 fn put_cell(col: &mut Vec<u8>, dicts: &Dicts, cell: CellId) {
     let idx = dicts
-        .index
+        .cell_index
         .get(&cell)
         .expect("dictionary pass visits every cell the encoders do");
     put_u64(col, u64::from(*idx));
@@ -465,11 +469,11 @@ fn encode_report(report: &MeasurementReport, dicts: &Dicts, cols: &mut Columns) 
         Some(Trigger::B1) => 6,
         Some(Trigger::B2) => 7,
         Some(Trigger::Other(label)) => {
-            let sym = dicts
-                .strings
-                .lookup(label)
-                .expect("dictionary pass interns every Other label");
-            8 + u64::from(sym.0)
+            let idx = dicts
+                .string_index
+                .get(&**label)
+                .expect("dictionary pass keeps every Other label");
+            8 + u64::from(*idx)
         }
     };
     put_u64(&mut cols.meas, code);

@@ -5,8 +5,9 @@
 //! wrong thing to re-analyze a campaign from: every pass re-tokenizes
 //! megabytes of text and re-allocates every cell label it already parsed
 //! last time. This crate gives traces a second, binary representation
-//! optimized for exactly one operation: feeding
-//! [`TraceAnalyzer`](onoff_detect::stream::TraceAnalyzer) again, fast.
+//! optimized for exactly one operation: feeding the events to an analysis
+//! core again, fast ([`StoreReader::replay`] hands each decoded event to
+//! a sink such as `TraceAnalyzer::feed`).
 //!
 //! # Format (version [`FORMAT_VERSION`])
 //!
@@ -60,7 +61,7 @@
 //! assert!(stats.is_clean());
 //!
 //! let mut core = onoff_detect::stream::TraceAnalyzer::new();
-//! reader.replay(RecoveryPolicy::SkipAndCount, &mut core).unwrap();
+//! reader.replay(RecoveryPolicy::SkipAndCount, |ev| core.feed(ev)).unwrap();
 //! assert_eq!(core.events_seen(), 2);
 //! ```
 
@@ -293,7 +294,7 @@ mod tests {
         let reader = StoreReader::new(&bytes).unwrap();
         let mut core = onoff_detect::stream::TraceAnalyzer::new();
         let stats = reader
-            .replay(RecoveryPolicy::SkipAndCount, &mut core)
+            .replay(RecoveryPolicy::SkipAndCount, |ev| core.feed(ev))
             .unwrap();
         assert!(stats.is_clean());
         assert_eq!(core.finish(), onoff_detect::analyze_trace(&events));

@@ -142,7 +142,7 @@ fn check_corrupted(
             // Replay mirrors read_all's accounting and never panics.
             let mut core = onoff_detect::stream::TraceAnalyzer::new();
             let replay_stats = reader
-                .replay(RecoveryPolicy::SkipAndCount, &mut core)
+                .replay(RecoveryPolicy::SkipAndCount, |ev| core.feed(ev))
                 .expect("lossy replay never errors");
             prop_assert_eq!(replay_stats, stats);
             prop_assert_eq!(core.events_seen(), decoded.len());
@@ -249,7 +249,7 @@ proptest! {
         if let Ok(reader) = StoreReader::new(&junk) {
             let _ = reader.read_all(RecoveryPolicy::SkipAndCount);
             let mut core = onoff_detect::stream::TraceAnalyzer::new();
-            let _ = reader.replay(RecoveryPolicy::SkipAndCount, &mut core);
+            let _ = reader.replay(RecoveryPolicy::SkipAndCount, |ev| core.feed(ev));
         }
     }
 }

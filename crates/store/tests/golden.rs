@@ -171,7 +171,9 @@ fn check_golden(name: &str, events: &[TraceEvent]) {
 
     let reader = StoreReader::new(&bytes).unwrap();
     let mut core = TraceAnalyzer::new();
-    let stats = reader.replay(RecoveryPolicy::FailFast, &mut core).unwrap();
+    let stats = reader
+        .replay(RecoveryPolicy::FailFast, |ev| core.feed(ev))
+        .unwrap();
     assert!(stats.is_clean(), "checked-in fixture must replay cleanly");
     let analysis = core.finish();
     assert_eq!(analysis, onoff_detect::analyze_trace(events));

@@ -16,7 +16,9 @@ use onoff_rrc::messages::{
 };
 use onoff_rrc::trace::{LogChannel, LogRecord, MmState, Timestamp, TraceEvent};
 use onoff_sim::{chaos_text, ChaosConfig};
-use onoff_store::{encode_events, encode_events_with, EncodeOptions, StoreReader};
+use onoff_store::{
+    encode_events, encode_events_with, EncodeOptions, StoreReader, DEFAULT_SEGMENT_RECORDS,
+};
 use proptest::prelude::*;
 
 fn arb_cell() -> impl Strategy<Value = CellId> {
@@ -226,7 +228,7 @@ fn check_roundtrip(events: &[TraceEvent], segment_records: usize) -> Result<(), 
     // Replay into a core ≡ batch analysis over the originals.
     let mut core = TraceAnalyzer::new();
     let stats = reader
-        .replay(RecoveryPolicy::SkipAndCount, &mut core)
+        .replay(RecoveryPolicy::SkipAndCount, |ev| core.feed(ev))
         .expect("clean store replays");
     prop_assert!(stats.is_clean());
     prop_assert_eq!(core.finish(), analyze_trace(events));
@@ -340,4 +342,57 @@ fn arb_emit_safe_event() -> impl Strategy<Value = TraceEvent> {
                 }),
             )),
     ]
+}
+
+/// The string dictionary keeps each `Trigger::Other` label once, however
+/// many reports carry it and however the trace is cut into segments, and
+/// every report decodes back to its own label.
+#[test]
+fn repeated_labels_are_stored_once() {
+    let cell = CellId {
+        rat: Rat::Nr,
+        pci: Pci(393),
+        arfcn: 521_310,
+    };
+    let report = |t: u64, label: &str| {
+        TraceEvent::Rrc(LogRecord {
+            t: Timestamp(t),
+            rat: Rat::Nr,
+            channel: LogChannel::UlDcch,
+            context: Some(cell),
+            msg: RrcMessage::MeasurementReport(MeasurementReport {
+                trigger: Some(Trigger::Other(label.into())),
+                results: vec![MeasResult {
+                    cell,
+                    meas: Measurement {
+                        rsrp: Rsrp::from_deci(-950),
+                        rsrq: Rsrq::from_deci(-110),
+                    },
+                }]
+                .into(),
+            }),
+        })
+    };
+    // 50 reports share one label; one report in their midst has another.
+    let mut events: Vec<TraceEvent> = (0..50)
+        .map(|i| report(i * 200, "periodicalCustom"))
+        .collect();
+    events.insert(25, report(4_900, "eventX9"));
+
+    for segment_records in [8, DEFAULT_SEGMENT_RECORDS] {
+        let bytes = encode_events_with(&events, &EncodeOptions { segment_records });
+        let (decoded, stats) = StoreReader::new(&bytes)
+            .expect("valid store")
+            .read_all(RecoveryPolicy::FailFast)
+            .expect("clean store decodes");
+        assert!(stats.is_clean());
+        assert_eq!(decoded, events);
+        let count = |label: &[u8]| bytes.windows(label.len()).filter(|w| *w == label).count();
+        assert_eq!(
+            count(b"periodicalCustom"),
+            1,
+            "{segment_records}-record segments"
+        );
+        assert_eq!(count(b"eventX9"), 1, "{segment_records}-record segments");
+    }
 }
