@@ -491,7 +491,7 @@ mod tests {
             unique_cs: 4,
             cs_samples: 10,
             meas_results: 500,
-            problem_channel_rsrp: RsrpSamples(vec![-850, -900, -1000]),
+            problem_channel_rsrp: RsrpSamples::from_deci(&[-850, -900, -1000]),
             scg_meas_delays_ms: Vec::new(),
             scored_reports: 300,
             predicted_loop_prob: Some(if has_loop { 0.8 } else { 0.1 }),

@@ -100,7 +100,7 @@ mod tests {
                 unique_cs: 5,
                 cs_samples: 40,
                 meas_results: 1234,
-                problem_channel_rsrp: RsrpSamples(vec![-850, -905]),
+                problem_channel_rsrp: RsrpSamples::from_deci(&[-850, -905]),
                 scg_meas_delays_ms: Vec::new(),
                 scored_reports: 250,
                 predicted_loop_prob: Some(0.62),

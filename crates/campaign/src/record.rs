@@ -62,9 +62,18 @@ pub struct RunRecord {
     pub predicted_loop_prob: Option<f64>,
 }
 
-/// A run's problem-channel RSRP samples, each held as its exact deci-dBm
-/// integer in two bytes. Reportable RSRP (TS 38.133: −156..−31 dBm) and
-/// every value the simulator produces fit an `i16`.
+/// A run's problem-channel RSRP samples, frame-of-reference bit-packed.
+/// Each sample is its exact deci-dBm integer; reportable RSRP (TS 38.133:
+/// −156..−31 dBm) and every value the simulator produces fit an `i16`.
+/// The column keeps its smallest sample as a base and every sample as its
+/// offset from that base, at the fewest bits that hold the largest offset
+/// (0 for a constant column, 16 for one spanning the whole `i16` range),
+/// back to back in one byte slice. A five-minute run's samples span a few
+/// tens of dB, so most columns pack at 9 or 10 bits a sample.
+///
+/// The packing is canonical (the base is the smallest sample, the width
+/// the least that fits, the last byte's unused bits zero), so two columns
+/// compare equal exactly when their sample sequences do.
 ///
 /// Serializes as an array of dBm numbers, each the `f64` [`Rsrp::db`]
 /// gives for the sample, so persisted datasets read as they did when the
@@ -75,22 +84,70 @@ pub struct RunRecord {
 /// The record fold saturates a sample outside that range to its nearest
 /// end rather than wrapping it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RsrpSamples(pub(crate) Vec<i16>);
+pub struct RsrpSamples {
+    /// The smallest sample, deci-dBm (0 when the column is empty).
+    base: i16,
+    /// Bits per offset, 0..=16.
+    width: u8,
+    /// Number of samples.
+    len: usize,
+    /// Sample `i`'s offset from `base` at bits `i·width..(i+1)·width`,
+    /// least significant bit first.
+    bits: Box<[u8]>,
+}
 
 impl RsrpSamples {
+    /// Packs deci-dBm samples, in report order.
+    pub(crate) fn from_deci(decis: &[i16]) -> RsrpSamples {
+        let lo = decis.iter().copied().min().unwrap_or(0);
+        let hi = decis.iter().copied().max().unwrap_or(0);
+        let width = (u16::BITS - hi.abs_diff(lo).leading_zeros()) as usize;
+        let mut bits = vec![0u8; (decis.len() * width).div_ceil(8)].into_boxed_slice();
+        for (i, &d) in decis.iter().enumerate() {
+            let bit = i * width;
+            // At most 16 bits shifted by at most 7: three bytes.
+            let word = u32::from(d.abs_diff(lo)) << (bit % 8);
+            for (dst, b) in bits[bit / 8..].iter_mut().zip(word.to_le_bytes()) {
+                *dst |= b;
+            }
+        }
+        RsrpSamples {
+            base: lo,
+            width: width as u8,
+            len: decis.len(),
+            bits,
+        }
+    }
+
+    /// The samples in deci-dBm, in report order.
+    pub(crate) fn deci(&self) -> impl ExactSizeIterator<Item = i16> + '_ {
+        let width = usize::from(self.width);
+        let mask = (1u32 << width) - 1;
+        (0..self.len).map(move |i| {
+            let bit = i * width;
+            let word = self.bits[bit / 8..]
+                .iter()
+                .take(3)
+                .rev()
+                .fold(0u32, |w, &b| (w << 8) | u32::from(b));
+            self.base
+                .wrapping_add_unsigned(((word >> (bit % 8)) & mask) as u16)
+        })
+    }
+
     /// The samples in dBm, in report order.
     pub fn dbm(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
-        self.0.iter().map(|&d| deci_dbm(d))
+        self.deci().map(deci_dbm)
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.len
     }
 
     /// Whether the run reported no problem-channel cell.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len == 0
     }
 }
 
@@ -135,7 +192,7 @@ impl Deserialize for RsrpSamples {
                 }
             })
             .collect::<Result<Vec<i16>, _>>()
-            .map(RsrpSamples)
+            .map(|decis| RsrpSamples::from_deci(&decis))
     }
 }
 
@@ -307,7 +364,7 @@ impl RecordFold {
             unique_cs: analysis.timeline.unique_sets(),
             cs_samples: analysis.timeline.samples.len(),
             meas_results: self.meas_results,
-            problem_channel_rsrp: RsrpSamples(self.problem_channel_rsrp.to_vec()),
+            problem_channel_rsrp: RsrpSamples::from_deci(&self.problem_channel_rsrp),
             scg_meas_delays_ms: self.scg_meas_delays_ms.to_vec(),
             scored_reports: predictions.scored,
             predicted_loop_prob: predictions.session_mean,
@@ -317,6 +374,8 @@ impl RecordFold {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -332,14 +391,25 @@ mod tests {
         assert_eq!(nsa.problem_arfcn, 5815);
     }
 
-    #[test]
-    fn rsrp_samples_serialize_as_the_f64_column_did() {
-        let decis: Vec<i16> = (-1560..=-310).chain([i16::MIN, i16::MAX]).collect();
-        let samples = RsrpSamples(decis.clone());
+    /// Every promise of the packed column for one input: it gives the
+    /// samples back, as deci-dBm and as dBm, and its JSON both ways is the
+    /// `f64` column's.
+    fn assert_packs(decis: &[i16]) {
+        let samples = RsrpSamples::from_deci(decis);
+        assert!(samples.deci().eq(decis.iter().copied()), "{decis:?}");
+        assert_eq!(samples.len(), decis.len());
+        assert_eq!(samples.is_empty(), decis.is_empty());
         let column: Vec<f64> = decis
             .iter()
             .map(|&d| Rsrp::from_deci(i32::from(d)).db())
             .collect();
+        assert!(
+            samples
+                .dbm()
+                .map(f64::to_bits)
+                .eq(column.iter().map(|x| x.to_bits())),
+            "{decis:?}"
+        );
         let json = serde_json::to_string(&samples).unwrap();
         assert_eq!(json, serde_json::to_string(&column).unwrap());
         assert_eq!(
@@ -348,11 +418,82 @@ mod tests {
         );
         let back: RsrpSamples = serde_json::from_str(&json).unwrap();
         assert_eq!(back, samples);
-        assert!(samples
-            .dbm()
-            .map(f64::to_bits)
-            .eq(column.iter().map(|x| x.to_bits())));
-        assert_eq!(samples.len(), decis.len());
+    }
+
+    #[test]
+    fn rsrp_samples_serialize_as_the_f64_column_did() {
+        let reportable: Vec<i16> = (-1560..=-310).collect();
+        // Empty; constant; 1, 9 and 11 bits at lengths whose bit count
+        // ends mid-byte; both `i16` ends. Each packs at the least width.
+        let cases: [(&[i16], u8); 7] = [
+            (&[], 0),
+            (&[-905; 5], 0),
+            (&[-850, -849, -850], 1),
+            (&[-1000, -489, -905], 9),
+            (&reportable, 11),
+            (&[i16::MIN, i16::MAX, 0], 16),
+            (&[i16::MAX, i16::MIN], 16),
+        ];
+        for (decis, width) in cases {
+            assert_packs(decis);
+            let samples = RsrpSamples::from_deci(decis);
+            assert_eq!(samples.width, width, "{decis:?}");
+            let bits = decis.len() * usize::from(width);
+            assert_eq!(samples.bits.len(), bits.div_ceil(8), "{decis:?}");
+        }
+    }
+
+    /// Columns of every packed width: offsets of `width` random bits over
+    /// a random base, so spans run from constant (0 bits) to 16 bits, or
+    /// any samples with both ends of the `i16` range among them.
+    fn column() -> impl Strategy<Value = Vec<i16>> {
+        prop_oneof![
+            (
+                any::<i16>(),
+                0u32..=16,
+                prop::collection::vec(any::<u16>(), 0..48)
+            )
+                .prop_map(|(base, width, raw)| {
+                    let mask = ((1u32 << width) - 1) as u16;
+                    raw.iter()
+                        .map(|r| base.saturating_add_unsigned(r & mask))
+                        .collect()
+                }),
+            (prop::collection::vec(any::<i16>(), 0..48), any::<usize>()).prop_map(
+                |(mut decis, at)| {
+                    decis.insert(at % (decis.len() + 1), i16::MIN);
+                    decis.insert(at % decis.len(), i16::MAX);
+                    decis
+                }
+            ),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn rsrp_columns_pack_losslessly(decis in column()) {
+            assert_packs(&decis);
+        }
+
+        #[test]
+        fn rsrp_columns_are_equal_exactly_when_their_samples_are(
+            a in column(),
+            other in column(),
+            at in any::<usize>(),
+            delta in 1u16..=u16::MAX,
+        ) {
+            // `a` against itself, against `a` with one sample moved, and
+            // against an unrelated column.
+            let mut moved = a.clone();
+            if !moved.is_empty() {
+                let i = at % moved.len();
+                moved[i] = moved[i].wrapping_add_unsigned(delta);
+            }
+            let packed = RsrpSamples::from_deci(&a);
+            for b in [&a, &moved, &other] {
+                prop_assert_eq!(packed == RsrpSamples::from_deci(b), a == *b);
+            }
+        }
     }
 
     #[test]
@@ -371,7 +512,7 @@ mod tests {
             assert!(err.contains("problem_channel_rsrp"), "{bad}: {err}");
         }
         let edges: RsrpSamples = serde_json::from_str("[-3276.8, 3276.7, -85, 0]").unwrap();
-        assert_eq!(edges.0, [i16::MIN, i16::MAX, -850, 0]);
+        assert!(edges.deci().eq([i16::MIN, i16::MAX, -850, 0]));
     }
 
     #[test]
@@ -398,7 +539,7 @@ mod tests {
             fold.problem_channel_rsrp,
             [i16::MAX, i16::MIN, i16::MAX, -905]
         );
-        let samples = RsrpSamples(fold.problem_channel_rsrp.clone());
+        let samples = RsrpSamples::from_deci(&fold.problem_channel_rsrp);
         let dbm: Vec<f64> = samples.dbm().collect();
         assert_eq!(dbm, [3276.7, -3276.8, 3276.7, -90.5]);
     }

@@ -11,12 +11,15 @@
 //! against the shared tables. Workers claim one job at a time through a
 //! shared atomic cursor; in clean mode the stepper streams the run's
 //! events into the worker's one slot as soon as they are final, so no
-//! whole trace is ever held. Workers accumulate into **private**
-//! `Aggregates` shards — no lock is held anywhere on the hot path. Shards
-//! are folded together once at the end through commutative [`Merge`]
-//! operations and a final deterministic record sort; because every run is
-//! fully independent (exact memoization, not approximation), the resulting
-//! [`Dataset`] is bitwise-identical for any worker count.
+//! whole trace is ever held. Each job carries its rank in the dataset's
+//! record order, and the worker that runs it writes its record straight
+//! into that rank's place in one array sized to the job list, so records
+//! are never merged or sorted. Workers accumulate everything else into
+//! **private** `Aggregates` shards — no lock is held anywhere on the hot
+//! path — folded together once at the end through commutative [`Merge`]
+//! operations. Because every run is fully independent (exact memoization,
+//! not approximation), the resulting [`Dataset`] is bitwise-identical for
+//! any worker count.
 //!
 //! With [`CampaignConfig::chaos`] set, chaos is a stage after the stream:
 //! the stepper streams the run's events into the worker's run log, which
@@ -46,6 +49,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use onoff_detect::channel::{ChannelUsage, Merge, ScellModScan, ScellModStats};
 use onoff_detect::{RunAnalysis, TraceAnalyzer};
@@ -497,7 +501,8 @@ impl RunSlot {
 }
 
 /// Aggregates accumulated by one worker (and, after merging, the whole
-/// campaign).
+/// campaign): everything but the run records, which go straight to their
+/// places in the campaign's record array.
 ///
 /// Shards accumulate into unordered [`FxMap`]s on the hot path; the sorted
 /// `BTreeMap`s the persisted [`Dataset`] carries are built once at the end
@@ -505,7 +510,6 @@ impl RunSlot {
 /// worker count.
 #[derive(Debug, Default)]
 struct Aggregates {
-    records: Vec<RunRecord>,
     usage_nr: FxMap<Operator, ChannelUsage>,
     usage_lte: FxMap<Operator, ChannelUsage>,
     scell_mod: FxMap<Operator, ScellModStats>,
@@ -517,7 +521,6 @@ struct Aggregates {
 
 impl Merge for Aggregates {
     fn merge(&mut self, other: Aggregates) {
-        self.records.extend(other.records);
         self.usage_nr.merge(other.usage_nr);
         self.usage_lte.merge(other.usage_lte);
         self.scell_mod.merge(other.scell_mod);
@@ -529,7 +532,8 @@ impl Merge for Aggregates {
 }
 
 impl Aggregates {
-    /// Executes one job over its area's shared tables.
+    /// Executes one job over its area's shared tables, returning its
+    /// record unless the job is quarantined.
     ///
     /// The whole pipeline runs out of the worker's [`RunScratch`]: the
     /// stepper records into the worker's recorder, and the worker's
@@ -547,7 +551,7 @@ impl Aggregates {
         job: &Job,
         cfg: &CampaignConfig,
         scratch: &mut RunScratch,
-    ) {
+    ) -> Option<RunRecord> {
         let (area, policy) = (shared.area, &shared.policy);
         let RunScratch { slot, rec, chaos } = scratch;
         let slot = slot.get_or_insert_with(|| RunSlot::new(area.operator, policy));
@@ -560,7 +564,8 @@ impl Aggregates {
                 *rec = stepper.stream(std::mem::take(rec), |ev| slot.feed(ev));
                 let (record, analysis) =
                     slot.finish(&area.name, job.location, cfg.device, job.seed);
-                self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
+                self.fold_run(area.operator, cfg.duration_ms, slot, &analysis);
+                Some(record)
             }
             Some(opts) => {
                 let log = &mut chaos.log;
@@ -573,42 +578,45 @@ impl Aggregates {
                     Ok((stats, record, analysis)) => {
                         self.quarantine.records_lost += stats.skipped;
                         self.quarantine.timestamps_repaired += stats.timestamps_repaired;
-                        self.fold_run(area.operator, cfg.duration_ms, slot, record, &analysis);
+                        self.fold_run(area.operator, cfg.duration_ms, slot, &analysis);
+                        Some(record)
                     }
                     // Quarantined: the run is in the ledger, not the
-                    // aggregates.
-                    Err(reason) => self.quarantine.runs.push(QuarantinedRun {
-                        operator: area.operator,
-                        area: area.name.clone(),
-                        location: job.location,
-                        seed: job.seed,
-                        attempts,
-                        reason,
-                    }),
+                    // aggregates or the records.
+                    Err(reason) => {
+                        self.quarantine.runs.push(QuarantinedRun {
+                            operator: area.operator,
+                            area: area.name.clone(),
+                            location: job.location,
+                            seed: job.seed,
+                            attempts,
+                            reason,
+                        });
+                        None
+                    }
                 }
             }
         }
     }
 
-    /// Folds one accepted run — its record, analysis, event count and
+    /// Folds one accepted run — its analysis, event count and
     /// SCell-modification counts — into this shard.
     fn fold_run(
         &mut self,
         operator: Operator,
         duration_ms: u64,
         slot: &mut RunSlot,
-        record: RunRecord,
         analysis: &RunAnalysis,
     ) {
         self.quarantine.clamped_events += analysis.degradation.clamped_events;
         let usage_nr = self.usage_nr.entry(operator).or_default();
-        if record.has_loop {
+        if analysis.has_loop() {
             usage_nr.add_loop_transitions(&analysis.off_transitions, Rat::Nr);
         } else {
             usage_nr.add_no_loop_run(&analysis.timeline, Rat::Nr);
         }
         let usage_lte = self.usage_lte.entry(operator).or_default();
-        if record.has_loop {
+        if analysis.has_loop() {
             usage_lte.add_loop_transitions(&analysis.off_transitions, Rat::Lte);
         } else {
             usage_lte.add_no_loop_run(&analysis.timeline, Rat::Lte);
@@ -619,7 +627,6 @@ impl Aggregates {
         );
         self.events_processed += slot.analyzer.events_seen() as u64;
         self.simulated_ms += duration_ms;
-        self.records.push(record);
     }
 }
 
@@ -629,6 +636,8 @@ struct Job {
     area_idx: usize,
     location: usize,
     seed: u64,
+    /// The run's place in the dataset's record order.
+    rank: usize,
 }
 
 /// Injective encoding of an area name for seed derivation. All bytes of
@@ -653,7 +662,9 @@ fn job_seed(cfg_seed: u64, area: &Area, location: usize, run: usize) -> u64 {
     ])
 }
 
-/// Enumerates every (area, location, run) job in deterministic order.
+/// Enumerates every (area, location, run) job in deterministic order,
+/// ranked by the dataset's record order: (operator, area, location, seed).
+/// Job seeds are distinct, so no two jobs share a rank's key.
 fn enumerate_jobs(areas: &[Area], cfg: &CampaignConfig) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (area_idx, area) in areas.iter().enumerate() {
@@ -668,9 +679,18 @@ fn enumerate_jobs(areas: &[Area], cfg: &CampaignConfig) -> Vec<Job> {
                     area_idx,
                     location,
                     seed: job_seed(cfg.seed, area, location, r),
+                    rank: 0,
                 });
             }
         }
+    }
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| {
+        let (job, area) = (&jobs[i], &areas[jobs[i].area_idx]);
+        (area.operator, area.name.as_str(), job.location, job.seed)
+    });
+    for (rank, i) in order.into_iter().enumerate() {
+        jobs[i].rank = rank;
     }
     jobs
 }
@@ -727,19 +747,36 @@ fn drain_shards(
 }
 
 /// Drains the job list, one job per claim, over per-area shared tables.
-/// Returns the merged aggregates and the number of workers that drained
-/// them, which is never more than the number of jobs.
-fn run_jobs(areas: &[Area], jobs: &[Job], cfg: &CampaignConfig) -> (Aggregates, usize) {
+/// Returns the merged aggregates, the accepted runs' records in record
+/// order, and the number of workers that drained them, which is never
+/// more than the number of jobs.
+fn run_jobs(
+    areas: &[Area],
+    jobs: &[Job],
+    cfg: &CampaignConfig,
+) -> (Aggregates, Vec<RunRecord>, usize) {
     let shared: Vec<AreaTables<'_>> = areas
         .iter()
         .map(|a| AreaTables::new(a, policy_for(a.operator)))
         .collect();
     let device = cfg.device.profile();
     let workers = cfg.parallelism.workers.min(jobs.len()).max(1);
+    // One place per job, at its rank; a quarantined job leaves its empty.
+    let ranked: Vec<OnceLock<RunRecord>> = jobs.iter().map(|_| OnceLock::new()).collect();
     let agg = drain_shards(jobs, workers, |shard, scratch, job| {
-        shard.absorb_run(&shared[job.area_idx], &device, job, cfg, scratch)
+        if let Some(record) = shard.absorb_run(&shared[job.area_idx], &device, job, cfg, scratch) {
+            ranked[job.rank]
+                .set(record)
+                .expect("each job is claimed once");
+        }
     });
-    (agg, workers)
+    // Collected in place: the records keep the array's allocation.
+    let mut records: Vec<RunRecord> = ranked
+        .into_iter()
+        .filter_map(OnceLock::into_inner)
+        .collect();
+    records.shrink_to_fit();
+    (agg, records, workers)
 }
 
 /// Runs the full eleven-area campaign and assembles the dataset.
@@ -747,12 +784,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Dataset {
     let started = std::time::Instant::now();
     let areas = all_areas(cfg.seed);
     let jobs = enumerate_jobs(&areas, cfg);
-    let (mut agg, workers) = run_jobs(&areas, &jobs, cfg);
+    let (mut agg, records, workers) = run_jobs(&areas, &jobs, cfg);
 
-    // Deterministic record order regardless of thread interleaving.
-    agg.records.sort_by(|a, b| {
-        (a.operator, &a.area, a.location, a.seed).cmp(&(b.operator, &b.area, b.location, b.seed))
-    });
     agg.quarantine.runs.sort_by(|a, b| {
         (a.operator, &a.area, a.location, a.seed).cmp(&(b.operator, &b.area, b.location, b.seed))
     });
@@ -787,12 +820,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Dataset {
         simulated_ms_per_sec: agg.simulated_ms as f64 / secs,
     };
 
-    // Built from the already-sorted records, so the predicted-vs-observed
-    // table inherits the dataset's worker-count invariance for free.
-    let predictions = location_predictions(&agg.records);
+    // Built from the ranked records, so the predicted-vs-observed table
+    // inherits the dataset's worker-count invariance for free.
+    let predictions = location_predictions(&records);
 
     Dataset {
-        records: agg.records,
+        records,
         predictions,
         // Sort-at-finalize: hash-ordered shards become the dataset's
         // deterministic operator-keyed maps here, once.
@@ -898,6 +931,7 @@ mod tests {
             area_idx: 0,
             location: 0,
             seed: 7,
+            rank: 0,
         };
         let mut stage = ChaosStage {
             log: logged_run(&shared, &job, 60_000),
@@ -914,6 +948,27 @@ mod tests {
         };
         let (attempts, _) = stage.run(&mut slot, &shared, &job, PhoneModel::OnePlus12R, &opts);
         unreachable!("the stage returned after {attempts} attempts");
+    }
+
+    #[test]
+    fn jobs_rank_in_record_order() {
+        let areas = all_areas(5);
+        let cfg = CampaignConfig {
+            runs_a1: 3,
+            runs_other: 2,
+            ..Default::default()
+        };
+        let mut jobs = enumerate_jobs(&areas, &cfg);
+        jobs.sort_by_key(|j| j.rank);
+        assert!(jobs.iter().enumerate().all(|(rank, j)| j.rank == rank));
+        let keys: Vec<_> = jobs
+            .iter()
+            .map(|j| {
+                let area = &areas[j.area_idx];
+                (area.operator, area.name.as_str(), j.location, j.seed)
+            })
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use channel::{ChannelUsage, Merge, ScellModScan, ScellModStats};
 pub use classify::{classify_off_transition, LoopType, OffClassifier, OffTransition};
 pub use degrade::DegradationReport;
 pub use loops::{detect_loops, Cycle, LoopInstance, Persistence};
-pub use metrics::{run_metrics, run_metrics_from_samples, RunMetrics};
+pub use metrics::{run_metrics_from_samples, RunMetrics};
 pub use stream::{StreamingAnalyzer, TraceAnalyzer};
 
 pub use onoff_predict::scoring::{CellPrediction, PredictionReport, ScoringConfig};

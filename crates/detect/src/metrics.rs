@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use onoff_rrc::trace::TraceEvent;
-
 use crate::cellset::CsTimeline;
 use crate::loops::LoopInstance;
 
@@ -51,18 +49,6 @@ fn median(xs: &mut [f64]) -> Option<f64> {
     } else {
         (xs[n / 2 - 1] + xs[n / 2]) / 2.0
     })
-}
-
-/// Computes run metrics from the trace, timeline and detected loops.
-pub fn run_metrics(events: &[TraceEvent], tl: &CsTimeline, loops: &[LoopInstance]) -> RunMetrics {
-    let samples: Vec<(onoff_rrc::trace::Timestamp, f64)> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Throughput { t, mbps } => Some((*t, *mbps)),
-            _ => None,
-        })
-        .collect();
-    run_metrics_from_samples(&samples, tl, loops)
 }
 
 /// Computes run metrics from pre-extracted throughput samples — the only
@@ -175,30 +161,29 @@ mod tests {
         }
     }
 
-    fn tp(t_s: u64, mbps: f64) -> TraceEvent {
-        TraceEvent::Throughput {
-            t: Timestamp::from_secs(t_s),
-            mbps,
-        }
+    /// A throughput sample, as the analyzer collects it from a
+    /// `TraceEvent::Throughput`.
+    fn tp(t_s: u64, mbps: f64) -> (Timestamp, f64) {
+        (Timestamp::from_secs(t_s), mbps)
     }
 
     #[test]
     fn on_off_durations() {
-        let m = run_metrics(&[], &timeline(), &[]);
+        let m = run_metrics_from_samples(&[], &timeline(), &[]);
         assert_eq!(m.on_ms, 30_000);
         assert_eq!(m.off_ms, 30_000);
     }
 
     #[test]
     fn speed_medians_split_by_state() {
-        let events = vec![
+        let samples = vec![
             tp(5, 0.0),
             tp(15, 100.0),
             tp(20, 200.0),
             tp(25, 300.0),
             tp(50, 1.0),
         ];
-        let m = run_metrics(&events, &timeline(), &[]);
+        let m = run_metrics_from_samples(&samples, &timeline(), &[]);
         assert_eq!(m.median_on_mbps, Some(200.0));
         assert_eq!(m.median_off_mbps, Some(0.5));
     }
@@ -219,8 +204,8 @@ mod tests {
             }],
             degraded: false,
         };
-        let events = vec![tp(15, 180.0), tp(20, 220.0), tp(45, 0.0), tp(50, 0.0)];
-        let m = run_metrics(&events, &timeline(), &[lp]);
+        let samples = vec![tp(15, 180.0), tp(20, 220.0), tp(45, 0.0), tp(50, 0.0)];
+        let m = run_metrics_from_samples(&samples, &timeline(), &[lp]);
         assert_eq!(m.cycle_stats.len(), 1);
         let c = &m.cycle_stats[0];
         assert_eq!(c.cycle_ms, 50_000);
@@ -241,7 +226,7 @@ mod tests {
             }],
             end: Timestamp(0),
         };
-        let m = run_metrics(&[], &tl, &[]);
+        let m = run_metrics_from_samples(&[], &tl, &[]);
         assert_eq!(m.on_ms, 0);
         assert_eq!(m.median_on_mbps, None);
         assert!(m.cycle_stats.is_empty());

@@ -16,8 +16,9 @@
 //!
 //! Accounted bytes per session = fixed overhead + the analyzer's
 //! capacity-derived [`mem_hint`](StreamingAnalyzer::mem_hint) + the event
-//! log's capacity, when the session keeps one. The global ledger is an
-//! atomic sum over all live sessions. Ingest enforces, in order:
+//! log's capacity and the heap its events own, when the session keeps
+//! one. The global ledger is an atomic sum over all live sessions. Ingest
+//! enforces, in order:
 //!
 //! 1. **Global budget** — a projected overrun first evicts
 //!    least-recently-used sessions (other than the target) to snapshots;
@@ -125,7 +126,7 @@ struct Session {
     analyzer: StreamingAnalyzer,
     /// The arrival-order event log a snapshot stores; kept only when the
     /// table has a snapshot directory to spill it to.
-    log: Option<Vec<TraceEvent>>,
+    log: Option<EventLog>,
     /// Events ingested over the session's lifetime.
     events: usize,
     meta: SessionMeta,
@@ -135,8 +136,42 @@ struct Session {
 
 impl Session {
     fn mem_now(&self) -> usize {
-        let log = self.log.as_ref().map_or(0, Vec::capacity);
-        SESSION_OVERHEAD + self.analyzer.mem_hint() + log * std::mem::size_of::<TraceEvent>()
+        SESSION_OVERHEAD + self.analyzer.mem_hint() + self.log.as_ref().map_or(0, EventLog::mem)
+    }
+}
+
+/// A session's event log, with a running total of the heap its events own
+/// beyond their inline size (spilled report rows, trigger labels,
+/// `measConfig`s), so charging the log stays O(1) per ingest. The total
+/// lives and dies with the log: spilling or dropping the session drops
+/// both.
+#[derive(Default)]
+struct EventLog {
+    events: Vec<TraceEvent>,
+    /// Sum of [`TraceEvent::heap_bytes`] over `events`.
+    owned: usize,
+}
+
+impl EventLog {
+    /// A log of `events`, its owned heap counted once.
+    fn new(events: Vec<TraceEvent>) -> EventLog {
+        let owned = events.iter().map(TraceEvent::heap_bytes).sum();
+        EventLog { events, owned }
+    }
+
+    /// Appends clones of `events`, counting the heap the clones own.
+    fn extend(&mut self, events: &[TraceEvent]) {
+        let from = self.events.len();
+        self.events.extend_from_slice(events);
+        self.owned += self.events[from..]
+            .iter()
+            .map(TraceEvent::heap_bytes)
+            .sum::<usize>();
+    }
+
+    /// Bytes the log holds: its buffer's capacity and its events' heap.
+    fn mem(&self) -> usize {
+        self.events.capacity() * std::mem::size_of::<TraceEvent>() + self.owned
     }
 }
 
@@ -273,7 +308,7 @@ impl SessionTable {
         }
         let mut s = Session {
             analyzer,
-            log: self.cfg.snapshot_dir.as_ref().map(|_| Vec::new()),
+            log: self.cfg.snapshot_dir.as_ref().map(|_| EventLog::default()),
             events: 0,
             meta: SessionMeta::default(),
             mem: 0,
@@ -347,9 +382,9 @@ impl SessionTable {
         shard.lru.remove(&session.stamp);
         let log = session
             .log
-            .as_deref()
+            .as_ref()
             .expect("sessions of a table with a snapshot dir keep a log");
-        match write_snapshot(dir, victim, &session.meta, log) {
+        match write_snapshot(dir, victim, &session.meta, &log.events) {
             Ok(path) => {
                 self.used.fetch_sub(session.mem, Ordering::Relaxed);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -426,7 +461,7 @@ impl SessionTable {
                 for ev in &snap.events {
                     session.analyzer.feed(ev.clone());
                 }
-                session.log = Some(snap.events);
+                session.log = Some(EventLog::new(snap.events));
                 session.mem = session.mem_now();
                 self.used.fetch_add(session.mem, Ordering::Relaxed);
                 self.restores.fetch_add(1, Ordering::Relaxed);
@@ -562,7 +597,7 @@ impl SessionTable {
             session.meta.merge(meta_delta);
             session.events += events.len();
             if let Some(log) = &mut session.log {
-                log.extend_from_slice(events);
+                log.extend(events);
             }
             for ev in events.drain(..) {
                 session.analyzer.feed(ev);

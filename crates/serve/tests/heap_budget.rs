@@ -12,8 +12,12 @@
 //! into a log again (≈ 18 MB).
 //!
 //! The ledger that enforces such budgets charges each session its
-//! analyzer's `mem_hint`, so a second test pins that the hint covers what
-//! a scored session's analyzer really holds, pending reports included.
+//! analyzer's `mem_hint`, plus its event log when the table has a
+//! snapshot directory, so a second test pins that the hint covers what a
+//! scored session's analyzer really holds, pending reports included, and
+//! that a logged session's charge covers what the whole session holds,
+//! the report rows its logged events own included, through an evict →
+//! restore.
 //!
 //! The allocator counts live bytes for the measuring thread only, through
 //! a const-initialised thread-local flag, so tests running in parallel in
@@ -163,6 +167,16 @@ fn concurrent_sessions_without_snapshot_dir_within_budget() {
 /// last five seconds of the feed — measurement reports whose rows spilled
 /// past the inline eight among them. Each analyzer starts from zero live
 /// bytes and owns every event clone it is fed.
+///
+/// Then the same traces go through a table with a snapshot directory, one
+/// session per table in [`FRAME_EVENTS`]-event frames, and the ledger's
+/// charge must cover the live heap after every frame, the session's log
+/// and the report rows its events own included. Halfway through each
+/// trace the session is evicted and a query restores it from its
+/// snapshot; the charge must cover the restored session too. Each table
+/// starts from zero live bytes once its session exists, so what the
+/// session grows to hold (analyzer, log, the heap its logged events own)
+/// and what an evict → restore leaves behind are what it measures.
 #[test]
 fn scored_session_mem_hint_covers_its_live_heap() {
     let traces = traces();
@@ -192,4 +206,61 @@ fn scored_session_mem_hint_covers_its_live_heap() {
         hint_sum / traces.len()
     );
     assert!(checks > 10_000, "the check must cover a meaningful feed");
+
+    let dir = std::env::temp_dir().join(format!("onoff-serve-heap-ledger-{}", std::process::id()));
+    let (mut frames, mut restores) = (0usize, 0usize);
+    let (mut live_sum, mut charge_sum) = (0i64, 0usize);
+    let mut burst: Vec<TraceEvent> = Vec::with_capacity(FRAME_EVENTS);
+    for (i, trace) in traces.iter().enumerate() {
+        let table = SessionTable::new(ServeConfig {
+            global_budget: 16 << 30,
+            session_budget: 1 << 30,
+            snapshot_dir: Some(dir.clone()),
+            scoring: Some(ScoringConfig::default()),
+            ..ServeConfig::default()
+        });
+        let sid = i as u64;
+        let half = trace.len().div_ceil(FRAME_EVENTS) / 2;
+        table
+            .ingest(sid, Vec::new(), SessionMeta::default())
+            .expect("an empty ingest opens the session");
+        LIVE.with(|l| l.set(0));
+        TRACKING.with(|on| on.set(true));
+        for (f, frame) in trace.chunks(FRAME_EVENTS).enumerate() {
+            if f == half {
+                assert!(table.evict(sid), "trace {i}: the session spills");
+                table.query(sid).expect("the snapshot restores");
+                restores += 1;
+                let (live, charge) = (LIVE.with(Cell::get), table.bytes_used());
+                assert!(
+                    live <= charge as i64,
+                    "trace {i}: restored at frame {f}, the session held {live} B live, \
+                     charged {charge} B"
+                );
+            }
+            burst.extend_from_slice(frame);
+            table
+                .ingest_drain(sid, &mut burst, SessionMeta::default())
+                .expect("wide-open budget never sheds");
+            let (live, charge) = (LIVE.with(Cell::get), table.bytes_used());
+            assert!(
+                live <= charge as i64,
+                "trace {i}: after frame {f} the session held {live} B live, charged {charge} B"
+            );
+            frames += 1;
+        }
+        live_sum += LIVE.with(Cell::get);
+        charge_sum += table.bytes_used();
+        TRACKING.with(|on| on.set(false));
+        table.end_session(sid).expect("the session ends");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    eprintln!(
+        "{} logged sessions end at {} B live, {} B charged on average, {frames} frames",
+        traces.len(),
+        live_sum / traces.len() as i64,
+        charge_sum / traces.len()
+    );
+    assert_eq!(restores, traces.len());
+    assert!(frames > 300, "the check must cover a meaningful feed");
 }
