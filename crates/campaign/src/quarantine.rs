@@ -1,16 +1,16 @@
 //! Chaos-mode campaign options and the quarantine ledger.
 //!
-//! A chaos campaign replays every run through the dirty-capture stage:
-//! simulator output is kept as store-encoded blocks, and each attempt
-//! renders them to NSG text, corrupts it with a seeded [`ChaosConfig`]
-//! and re-parses it under a lossy [`RecoveryPolicy`] one window at a
-//! time, handing the surviving events to the analysis as they are
-//! recovered. The loss gate reads the attempt's parse accounting once the
-//! whole text is through. A run whose loss stays within bounds
-//! contributes to the dataset like any other; a run that fails (excessive
-//! loss, or a panic in the stages that see dirty input: corrupt, parse,
-//! analyze) is **retried with backoff and a fresh chaos seed** over the
-//! same kept events, and if it keeps failing it is **quarantined** —
+//! A chaos campaign puts every run through the dirty-capture stage: each
+//! attempt streams the run's simulator output from its seed, renders it to
+//! NSG text, corrupts it with a seeded [`ChaosConfig`] and re-parses it
+//! under a lossy [`RecoveryPolicy`] one window at a time, handing the
+//! surviving events to the analysis as they are recovered. The loss gate
+//! reads the attempt's parse accounting once the whole text is through. A
+//! run whose loss stays within bounds contributes to the dataset like any
+//! other; a run that fails (excessive loss, or a panic in the stages that
+//! see dirty input: corrupt, parse, analyze) is **retried with backoff and
+//! a fresh chaos seed**, simulated again from the same run seed and so
+//! over the same events, and if it keeps failing it is **quarantined** —
 //! recorded in the dataset's [`QuarantineReport`] instead of aborting the
 //! whole campaign. The simulator sees no dirty input and is deterministic
 //! in the run's seed, so a retry could never get past a panic there: it

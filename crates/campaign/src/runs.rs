@@ -21,30 +21,28 @@
 //! not approximation), the resulting [`Dataset`] is bitwise-identical for
 //! any worker count.
 //!
-//! With [`CampaignConfig::chaos`] set, chaos is a stage after the stream:
-//! the stepper streams the run's events into the worker's run log, which
-//! clones them into one pooled block of 128 events and seals each full
-//! block into store-encoded bytes (`onoff_store::encode_events`, about a
-//! seventh of the rendered text's size). The worker keeps that log until
-//! the run's attempts finish. Each attempt decodes the log block by block
-//! into the same pooled block and renders its events into one window of
-//! NSG text, handed on at the first event boundary past 32 KiB: a fresh
-//! seeded chaos engine corrupts each window into the worker's one
-//! window-sized dirty buffer, and the worker's pooled lossy parser takes it
-//! as the next piece, handing the survivors straight to the slot. Neither
-//! the rendered capture, nor a dirty copy of it, nor its parsed trace is
-//! ever held. The loss gate reads the parser's accounting once the log
-//! ends: a run whose loss stays out of bounds is retried with backoff and
+//! With [`CampaignConfig::chaos`] set, chaos is a text stage on the same
+//! stream, and every attempt at a run is one pass: the stepper streams the
+//! run's events from the job's seed over the area's shared tables, and
+//! each event is rendered into one window of NSG text, handed on at the
+//! first event boundary past 32 KiB: a fresh seeded chaos engine corrupts
+//! each window into the worker's one window-sized dirty buffer, and the
+//! worker's pooled lossy parser takes it as the next piece, handing the
+//! survivors straight to the slot. Nothing of the run is kept between
+//! attempts, and neither the rendered capture, nor a dirty copy of it, nor
+//! its parsed trace is ever held. The loss gate reads the parser's
+//! accounting once the stream ends: a run whose loss stays out of bounds
+//! is retried with backoff, stepped again from its seed (the stepper is
+//! deterministic in it, so every attempt renders the same text), and
 //! quarantined into the dataset's [`QuarantineReport`] once every attempt
 //! has failed, instead of aborting the campaign; a rejected attempt's slot
-//! state is discarded by the next attempt's reset. Retries reuse the log,
-//! so a chaos run is simulated exactly once and rendered once per attempt.
-//! A panic in the stages that see dirty input (corrupt → parse → analyze)
-//! fails only its attempt; the simulator sees no dirty input and is
-//! deterministic in the job seed, so a retry could never get past a panic
-//! there, and it aborts the campaign as it does in clean mode. Nor does a
-//! log that fails to decode: the worker wrote it, so that is a bug, not
-//! damage.
+//! state is discarded by the next attempt's reset. A panic in the stages
+//! that see dirty input (corrupt → parse → analyze) fails only its
+//! attempt: they run under `catch_unwind` a window at a time, inside the
+//! stream's sink, so no such panic unwinds through the stepper. The
+//! simulator runs outside every `catch_unwind`; it sees no dirty input and
+//! is deterministic in the job seed, so a retry could never get past a
+//! panic there, and it aborts the campaign as it does in clean mode.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,7 +51,7 @@ use std::sync::OnceLock;
 
 use onoff_detect::channel::{ChannelUsage, Merge, ScellModScan, ScellModStats};
 use onoff_detect::{RunAnalysis, TraceAnalyzer};
-use onoff_nsglog::{emit_event, ParseStats, RecoveringParser, RecoveryPolicy};
+use onoff_nsglog::{emit_event, ParseStats, RecoveringParser};
 use onoff_policy::{policy_for, DeviceProfile, Operator, OperatorPolicy, PhoneModel};
 use onoff_radio::noise::hash_words;
 use onoff_radio::{RadioTables, UeSampler};
@@ -64,7 +62,6 @@ use onoff_sim::recorder::Recorder;
 use onoff_sim::{
     ChaosConfig, ChaosEngine, MovementPath, PolicyTables, SimOutput, StepCtx, Stepper,
 };
-use onoff_store::{encode_events, StoreError, StoreReader};
 
 use crate::areas::{all_areas, Area};
 use crate::dataset::{location_predictions, CampaignStats, Dataset};
@@ -115,11 +112,11 @@ pub struct CampaignConfig {
     pub duration_ms: u64,
     /// Worker-pool sizing. Affects wall-clock only, never the dataset.
     pub parallelism: ParallelismConfig,
-    /// Chaos mode: a stage after each run's simulation renders its events
+    /// Chaos mode: a stage on each run's event stream renders the events
     /// to NSG text, corrupts the text, re-parses it lossily, retries
-    /// attempts whose loss is out of bounds and quarantines runs that keep
-    /// failing. `None` (the default) feeds simulator events straight into
-    /// the analysis.
+    /// attempts whose loss is out of bounds (simulating the run again from
+    /// its seed) and quarantines runs that keep failing. `None` (the
+    /// default) feeds simulator events straight into the analysis.
     pub chaos: Option<ChaosOptions>,
 }
 
@@ -238,11 +235,9 @@ impl<'a> AreaTables<'a> {
 /// the worker's first run and reset for every later one, one recorder,
 /// and the chaos stage's buffers. The recorder only holds the events of
 /// the run's last step or so, and the slot only its analyzer's state, so
-/// a clean worker's footprint does not grow with trace length (DESIGN.md
-/// §16). A chaos worker also keeps the run's store-encoded log, which
-/// settles at the largest the worker has seen, plus one block of events,
-/// a window of text, its dirty copy and a parser's open record, whose
-/// sizes do not depend on the run's length.
+/// a worker's footprint does not grow with trace length (DESIGN.md §16).
+/// A chaos worker adds a window of text, its dirty copy and a parser's
+/// open record, whose sizes do not depend on the run's length either.
 #[derive(Default)]
 struct RunScratch {
     slot: Option<RunSlot>,
@@ -254,74 +249,25 @@ struct RunScratch {
 /// rendered capture, up to the end of the event that reaches it.
 const CHAOS_WINDOW_BYTES: usize = 32 << 10;
 
-/// Events per block of a chaos run log.
-const LOG_BLOCK_EVENTS: usize = 128;
-
-/// A run's events as store-encoded blocks: what a chaos worker keeps of
-/// the run while its attempts last, in place of its rendered text.
-#[derive(Default)]
-struct RunLog {
-    /// The sealed blocks, back to back, each one [`encode_events`] output.
-    bytes: Vec<u8>,
-    /// Where each sealed block ends in `bytes`.
-    ends: Vec<usize>,
-    /// The block filling while the run streams; rendering decodes each
-    /// sealed block into it in turn.
-    block: Vec<TraceEvent>,
-}
-
-impl RunLog {
-    /// Empties the log for the next run, keeping its buffers.
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.ends.clear();
-        self.block.clear();
-    }
-
-    /// Appends the run's next event, sealing the block once it is full.
-    fn push(&mut self, ev: &TraceEvent) {
-        self.block.push(ev.clone());
-        if self.block.len() == LOG_BLOCK_EVENTS {
-            self.seal();
-        }
-    }
-
-    /// Seals the events pushed since the last seal into a block.
-    fn seal(&mut self) {
-        if !self.block.is_empty() {
-            self.bytes.extend_from_slice(&encode_events(&self.block));
-            self.ends.push(self.bytes.len());
-            self.block.clear();
-        }
-    }
-
-    /// Renders the sealed log to NSG text, the text `emit` gives for the
-    /// run's events, one `window` at a time: a window goes to `piece` at
-    /// the first event boundary at or past [`CHAOS_WINDOW_BYTES`], and
-    /// whatever is left at the end of the log. Every window ends a line.
-    fn render(
-        &mut self,
-        window: &mut String,
-        mut piece: impl FnMut(&str),
-    ) -> Result<(), StoreError> {
-        window.clear();
-        let mut start = 0;
-        for &end in &self.ends {
-            StoreReader::new(&self.bytes[start..end])?
-                .read_all_into(RecoveryPolicy::FailFast, &mut self.block)?;
-            for ev in &self.block {
-                emit_event(ev, window).expect("fmt::Write to a String is infallible");
-                if window.len() >= CHAOS_WINDOW_BYTES {
-                    piece(window);
-                    window.clear();
-                }
-            }
-            start = end;
-        }
-        if !window.is_empty() {
+/// Renders the events `stream` hands its sink to NSG text, the text `emit`
+/// gives for them, one `window` at a time: a window goes to `piece` at the
+/// first event boundary at or past [`CHAOS_WINDOW_BYTES`], and whatever is
+/// left when the stream ends. Every window ends a line.
+fn render_windows(
+    stream: impl FnOnce(&mut dyn FnMut(&TraceEvent)),
+    window: &mut String,
+    mut piece: impl FnMut(&str),
+) {
+    window.clear();
+    stream(&mut |ev| {
+        emit_event(ev, window).expect("fmt::Write to a String is infallible");
+        if window.len() >= CHAOS_WINDOW_BYTES {
             piece(window);
+            window.clear();
         }
-        Ok(())
+    });
+    if !window.is_empty() {
+        piece(window);
     }
 }
 
@@ -329,12 +275,11 @@ impl RunLog {
 /// analysis, or why the attempt failed.
 type Attempt = Result<(ParseStats, RunRecord, RunAnalysis), String>;
 
-/// A chaos worker's buffers: the run's log, kept until its attempts
-/// finish, one window of the rendered log and its corruption, and the
-/// pooled lossy parser that reads the corrupted windows.
+/// A chaos worker's buffers: one window of the streamed run's text and its
+/// corruption, and the pooled lossy parser that reads the corrupted
+/// windows. None of them holds anything of a run between attempts.
 #[derive(Default)]
 struct ChaosStage {
-    log: RunLog,
     window: String,
     dirty: String,
     /// Built at the worker's first chaos attempt, under the campaign's
@@ -343,18 +288,14 @@ struct ChaosStage {
 }
 
 impl ChaosStage {
-    /// The chaos stage over the run's log. Up to `max_attempts` times,
-    /// renders the log window by window, corrupts each window with the
-    /// attempt's chaos seed, re-parses it lossily into `slot`, and — when
-    /// the loss over the whole log stays in bounds — builds the record.
-    /// Returns the attempts made, with the accepted attempt's parse stats,
-    /// record and analysis or the last attempt's failure reason
-    /// (excessive loss, or a panic in these stages).
-    ///
-    /// # Panics
-    ///
-    /// When the log does not decode: the worker encoded it, so a broken
-    /// log is a bug, like a simulator panic, not a run to quarantine.
+    /// The chaos stage over the run `stream` steps. Up to `max_attempts`
+    /// times, streams the run from its seed, renders it window by window,
+    /// corrupts each window with the attempt's chaos seed, re-parses it
+    /// lossily into `slot`, and — when the loss over the whole run stays
+    /// in bounds — builds the record. Returns the attempts made, with the
+    /// accepted attempt's parse stats, record and analysis or the last
+    /// attempt's failure reason (excessive loss, or a panic in these
+    /// stages). A panic in `stream` itself propagates.
     fn run(
         &mut self,
         slot: &mut RunSlot,
@@ -362,6 +303,7 @@ impl ChaosStage {
         job: &Job,
         device: PhoneModel,
         opts: &ChaosOptions,
+        mut stream: impl FnMut(&mut dyn FnMut(&TraceEvent)),
     ) -> (u32, Attempt) {
         let (area, policy) = (shared.area, &shared.policy);
         // Whether the job is poisoned doesn't change between attempts, so
@@ -379,7 +321,6 @@ impl ChaosStage {
             &opts.chaos
         };
         let ChaosStage {
-            log,
             window,
             dirty,
             parser,
@@ -395,36 +336,45 @@ impl ChaosStage {
             }
             // Fresh fault pattern per attempt, reproducible from the job.
             let chaos_seed = hash_words(&[job.seed, u64::from(attempt), 0xC4A05]);
-            let caught = catch_unwind(AssertUnwindSafe(|| -> Result<Attempt, StoreError> {
-                let mut engine = ChaosEngine::new(chaos_cfg.clone(), chaos_seed);
-                // Analyze the *surviving* events: the record, like every
-                // other counter, reflects what an analyst reading the dirty
-                // capture would see.
-                slot.start(area.operator, policy);
-                log.render(window, |piece| {
-                    dirty.clear();
-                    engine.corrupt_text_piece(piece, dirty);
-                    parser.push(dirty, |ev| slot.feed(&ev));
-                })?;
-                let stats = parser.finish(|ev| slot.feed(&ev));
-                if stats.loss_ratio() > opts.max_loss_ratio {
-                    return Ok(Err(format!(
-                        "loss ratio {:.2} exceeds {:.2}",
-                        stats.loss_ratio(),
-                        opts.max_loss_ratio
-                    )));
-                }
-                let (record, analysis) = slot.finish(&area.name, job.location, device, job.seed);
-                Ok(Ok((stats, record, analysis)))
-            }));
-            match caught {
-                Ok(Ok(Ok(accepted))) => return (attempt, Ok(accepted)),
-                Ok(Ok(Err(reason))) => last_reason = reason,
-                Ok(Err(e)) => panic!(
-                    "the chaos log of {} location {} (seed {:#x}) does not decode: {e}",
-                    area.name, job.location, job.seed
-                ),
-                Err(_) => {
+            let mut engine = ChaosEngine::new(chaos_cfg.clone(), chaos_seed);
+            // Analyze the *surviving* events: the record, like every other
+            // counter, reflects what an analyst reading the dirty capture
+            // would see. After a panic the attempt's later windows are
+            // dropped, but the run is still stepped to its end, so a
+            // simulator panic anywhere in it still aborts the campaign.
+            slot.start(area.operator, policy);
+            let mut intact = true;
+            render_windows(&mut stream, window, |piece| {
+                intact = intact
+                    && catch_unwind(AssertUnwindSafe(|| {
+                        dirty.clear();
+                        engine.corrupt_text_piece(piece, dirty);
+                        parser.push(dirty, |ev| slot.feed(&ev));
+                    }))
+                    .is_ok();
+            });
+            let finished = if intact {
+                catch_unwind(AssertUnwindSafe(|| {
+                    let stats = parser.finish(|ev| slot.feed(&ev));
+                    if stats.loss_ratio() > opts.max_loss_ratio {
+                        return Err(format!(
+                            "loss ratio {:.2} exceeds {:.2}",
+                            stats.loss_ratio(),
+                            opts.max_loss_ratio
+                        ));
+                    }
+                    let (record, analysis) =
+                        slot.finish(&area.name, job.location, device, job.seed);
+                    Ok((stats, record, analysis))
+                }))
+                .ok()
+            } else {
+                None
+            };
+            match finished {
+                Some(Ok(accepted)) => return (attempt, Ok(accepted)),
+                Some(Err(reason)) => last_reason = reason,
+                None => {
                     // The panic may have left the parser inside a text.
                     *parser = RecoveringParser::new(opts.policy);
                     last_reason = "pipeline panicked".to_string();
@@ -539,8 +489,8 @@ impl Aggregates {
     /// stepper records into the worker's recorder, and the worker's
     /// `RunSlot` — analyzer and scorer included — is reset between runs
     /// instead of rebuilt. In clean mode the stepper streams the run's
-    /// events straight into the slot; in chaos mode it streams them into
-    /// the chaos stage's log, and the chaos stage then feeds the slot
+    /// events straight into the slot; in chaos mode every attempt streams
+    /// them from the seed again into the chaos stage, which feeds the slot
     /// what survives. Either way the slot sees the events in exactly the
     /// order a collected trace holds them, so the dataset is
     /// bitwise-identical at any worker count.
@@ -556,23 +506,23 @@ impl Aggregates {
         let RunScratch { slot, rec, chaos } = scratch;
         let slot = slot.get_or_insert_with(|| RunSlot::new(area.operator, policy));
         let path = MovementPath::Stationary(area.locations[job.location]);
-        let stepper = shared.stepper(device, &path, job.seed, cfg.duration_ms);
+        // Steps the run from its seed, handing each event to `sink`.
+        let mut stream = |sink: &mut dyn FnMut(&TraceEvent)| {
+            let stepper = shared.stepper(device, &path, job.seed, cfg.duration_ms);
+            *rec = stepper.stream(std::mem::take(rec), sink);
+        };
         match &cfg.chaos {
             None => {
                 self.attempts += 1;
                 slot.start(area.operator, policy);
-                *rec = stepper.stream(std::mem::take(rec), |ev| slot.feed(ev));
+                stream(&mut |ev| slot.feed(ev));
                 let (record, analysis) =
                     slot.finish(&area.name, job.location, cfg.device, job.seed);
                 self.fold_run(area.operator, cfg.duration_ms, slot, &analysis);
                 Some(record)
             }
             Some(opts) => {
-                let log = &mut chaos.log;
-                log.clear();
-                *rec = stepper.stream(std::mem::take(rec), |ev| log.push(ev));
-                log.seal();
-                let (attempts, outcome) = chaos.run(slot, shared, job, cfg.device, opts);
+                let (attempts, outcome) = chaos.run(slot, shared, job, cfg.device, opts, stream);
                 self.attempts += attempts as usize;
                 match outcome {
                     Ok((stats, record, analysis)) => {
@@ -868,21 +818,8 @@ mod tests {
         assert_eq!(r1, r2);
     }
 
-    /// One run of `shared`'s area streamed into a fresh log, as a chaos
-    /// worker keeps it.
-    fn logged_run(shared: &AreaTables<'_>, job: &Job, duration_ms: u64) -> RunLog {
-        let device = PhoneModel::OnePlus12R.profile();
-        let path = MovementPath::Stationary(shared.area.locations[job.location]);
-        let mut log = RunLog::default();
-        shared
-            .stepper(&device, &path, job.seed, duration_ms)
-            .stream(Recorder::new(), |ev| log.push(ev));
-        log.seal();
-        log
-    }
-
     #[test]
-    fn windows_rendered_from_the_log_are_the_runs_text() {
+    fn streamed_windows_are_the_runs_text() {
         let cfg = CampaignConfig {
             runs_a1: 1,
             runs_other: 1,
@@ -890,8 +827,9 @@ mod tests {
             ..CampaignConfig::default()
         };
         let areas = all_areas(cfg.seed);
+        let device = cfg.device.profile();
         let mut modes = Vec::new();
-        let (mut several_windows, mut several_blocks, mut partial_block) = (false, false, false);
+        let mut several_windows = false;
         let mut window = String::new();
         for job in enumerate_jobs(&areas, &cfg)
             .iter()
@@ -899,12 +837,19 @@ mod tests {
         {
             let area = &areas[job.area_idx];
             let shared = AreaTables::new(area, policy_for(area.operator));
-            let mut log = logged_run(&shared, job, cfg.duration_ms);
+            let path = MovementPath::Stationary(area.locations[job.location]);
             let (_, out, _) = run_location(area, 0, cfg.device, job.seed, cfg.duration_ms);
 
             let mut windows = Vec::new();
-            log.render(&mut window, |w| windows.push(w.to_string()))
-                .expect("the log decodes");
+            render_windows(
+                |sink| {
+                    shared
+                        .stepper(&device, &path, job.seed, cfg.duration_ms)
+                        .stream(Recorder::new(), sink);
+                },
+                &mut window,
+                |w| windows.push(w.to_string()),
+            );
             assert_eq!(windows.concat(), out.to_log(), "{}", area.name);
             for (i, w) in windows.iter().enumerate() {
                 assert!(w.ends_with('\n'), "{} window {i}", area.name);
@@ -914,17 +859,20 @@ mod tests {
             }
             modes.push(shared.policy.mode);
             several_windows |= windows.len() > 1;
-            several_blocks |= log.ends.len() > 1;
-            partial_block |= out.events.len() % LOG_BLOCK_EVENTS != 0;
         }
         assert_eq!(modes.len(), areas.len());
         assert!(modes.contains(&FivegMode::Sa) && modes.contains(&FivegMode::Nsa));
-        assert!(several_windows && several_blocks && partial_block);
+        assert!(several_windows);
     }
 
-    #[test]
-    #[should_panic(expected = "does not decode")]
-    fn a_log_that_does_not_decode_panics_out_of_the_chaos_stage() {
+    /// Runs `stage` over a two-minute run of A1's location 0 into a fresh
+    /// slot, scored or not, with `tap` seeing the count of events the
+    /// simulator has streamed before each reaches the stage.
+    fn run_chaos_stage(
+        stage: &mut ChaosStage,
+        scored: bool,
+        mut tap: impl FnMut(usize),
+    ) -> (u32, Attempt) {
         let area = area_a1(42);
         let shared = AreaTables::new(&area, policy_for(area.operator));
         let job = Job {
@@ -933,21 +881,60 @@ mod tests {
             seed: 7,
             rank: 0,
         };
-        let mut stage = ChaosStage {
-            log: logged_run(&shared, &job, 60_000),
-            ..ChaosStage::default()
-        };
-        assert!(stage.log.ends.len() > 1);
-        // One flipped bit in the last block: the attempt has already
-        // pushed the earlier blocks' windows when it reaches it.
-        *stage.log.bytes.last_mut().expect("a non-empty log") ^= 1;
+        let device = PhoneModel::OnePlus12R.profile();
+        let path = MovementPath::Stationary(area.locations[job.location]);
         let mut slot = RunSlot::new(area.operator, &shared.policy);
+        if !scored {
+            // Without its scorer the slot's `finish` panics, inside the
+            // analyze stage.
+            slot.analyzer = TraceAnalyzer::new();
+        }
         let opts = ChaosOptions {
             backoff_base_ms: 0,
             ..ChaosOptions::default()
         };
-        let (attempts, _) = stage.run(&mut slot, &shared, &job, PhoneModel::OnePlus12R, &opts);
-        unreachable!("the stage returned after {attempts} attempts");
+        stage.run(
+            &mut slot,
+            &shared,
+            &job,
+            PhoneModel::OnePlus12R,
+            &opts,
+            |sink| {
+                let mut streamed = 0;
+                shared
+                    .stepper(&device, &path, job.seed, 120_000)
+                    .stream(Recorder::new(), |ev| {
+                        streamed += 1;
+                        tap(streamed);
+                        sink(ev);
+                    });
+            },
+        )
+    }
+
+    #[test]
+    fn a_panic_in_the_text_stage_fails_only_its_attempt() {
+        let mut stage = ChaosStage::default();
+        let (attempts, outcome) = run_chaos_stage(&mut stage, false, |_| {});
+        assert_eq!(attempts, ChaosOptions::default().max_attempts);
+        assert_eq!(outcome, Err("pipeline panicked".to_string()));
+        // The stage those panics went through reads the next run as a
+        // fresh stage does.
+        let next = run_chaos_stage(&mut stage, true, |_| {});
+        assert!(next.1.is_ok(), "{:?}", next.1.err());
+        assert_eq!(
+            next,
+            run_chaos_stage(&mut ChaosStage::default(), true, |_| {})
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "simulator fault")]
+    fn a_simulator_panic_aborts_the_chaos_stage() {
+        // Several windows in, so the text stage has already run.
+        let _ = run_chaos_stage(&mut ChaosStage::default(), true, |streamed| {
+            assert!(streamed < 200, "simulator fault");
+        });
     }
 
     #[test]
