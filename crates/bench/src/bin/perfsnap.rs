@@ -538,6 +538,10 @@ const MIN_ALLOC_BUDGET: f64 = 0.5;
 /// * `sim-step` and `fused-campaign` hold the pooled pipeline to
 ///   ≤ 1.0 allocs/event;
 /// * a warm `predict` session makes exactly 0 allocations;
+/// * `stream-feed-8x` keeps ≥ 0.5× `stream-feed`'s events/s, so the
+///   analyzer's cost per event stays flat in the trace's length; a ratio
+///   within one snapshot rides out the host drift that moves absolute
+///   rates between runs;
 /// * `store-replay` stays ≥ 5× `parse` and ≥ 1M events/s, and the store
 ///   compresses the text ≥ 2×;
 /// * `serve-ingest` feeds ≥ 1M events (100k sessions × 12 events) at
@@ -574,6 +578,7 @@ fn verdict(
     let eps = |name: &str| sample(name).map_or(0.0, |s| s.events_per_sec());
     let ape = |name: &str| sample(name).map_or(f64::INFINITY, |s| s.allocs_per_event());
     let (fused, parse, replay) = (eps("fused-campaign"), eps("parse"), eps("store-replay"));
+    let (feed, feed_8x) = (eps("stream-feed"), eps("stream-feed-8x"));
     let (sim_ape, fused_ape) = (ape("sim-step"), ape("fused-campaign"));
     let predict_allocs = sample("predict").map_or(u64::MAX, |s| s.allocs);
     let (serve, serve_events) = (
@@ -597,6 +602,10 @@ fn verdict(
         (
             predict_allocs == 0,
             format!("predict: {predict_allocs} allocations in a warm session, not 0"),
+        ),
+        (
+            feed_8x >= 0.5 * feed,
+            format!("stream-feed-8x: {feed_8x:.0} events/s under 0.5x stream-feed's {feed:.0}"),
         ),
         (
             replay >= 5.0 * parse,
@@ -709,6 +718,8 @@ mod tests {
         vec![
             ("parse", sample(3_596, 190_000.0, 5_991)),
             ("detect", sample(3_596, 5_500_000.0, 452)),
+            ("stream-feed", sample(3_596, 6_000_000.0, 360)),
+            ("stream-feed-8x", sample(28_768, 4_000_000.0, 2_300)),
             ("predict", sample(3_596, 2_000_000.0, 0)),
             ("sim-step", sample(629, 300_000.0, 375)),
             ("fused-campaign", sample(10_631, 400_000.0, 10_355)),
@@ -866,6 +877,17 @@ mod tests {
                 "predict",
                 sample(3_596, 2_000_000.0, 1),
                 "predict: 1 allocations",
+            ),
+            (
+                "stream-feed-8x",
+                sample(28_768, 2_999_999.0, 2_300),
+                "stream-feed-8x: 2999999 events/s under 0.5x stream-feed's 6000000",
+            ),
+            // The same floor, tripped by the short trace speeding up.
+            (
+                "stream-feed",
+                sample(3_596, 8_000_001.0, 360),
+                "stream-feed-8x: 4000000 events/s under 0.5x",
             ),
             // store-replay's 1.5M events/s under 5x parse's 300,001.
             (

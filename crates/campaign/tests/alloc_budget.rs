@@ -114,13 +114,15 @@ fn chaos_campaign_allocs_per_event_within_budget() {
     // Every attempt streams the run from its seed through one pooled text
     // window, dirty buffer and parser, so what a chaos run adds to the
     // clean path is the parser's (the spilled report rows of the events
-    // it recovers, and its scratch for each window) and a chaos engine per
-    // attempt: 1.71 allocs/event. A worker that kept each run as
-    // store-encoded blocks, encoding every block and decoding it again on
-    // each attempt, read 3.00; the budget of 2.0 fails that, and any new
-    // allocation per event.
+    // it recovers, each sized once from its block's line count) and a
+    // chaos engine per attempt: 1.20 allocs/event. A parser that gathered
+    // each piece's and each carried record's lines in a fresh vector and
+    // grew every report's rows push by push read 1.71, and a worker that
+    // kept each run as store-encoded blocks, encoding every block and
+    // decoding it again on each attempt, read 3.00; the budget of 1.5
+    // fails both, and any new allocation per event.
     assert!(
-        per_event <= 2.0,
-        "chaos campaign made {per_event:.3} allocs/event (budget 2.0)"
+        per_event <= 1.5,
+        "chaos campaign made {per_event:.3} allocs/event (budget 1.5)"
     );
 }

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use onoff_rrc::trace::Timestamp;
+
 use crate::cellset::CsTimeline;
 use crate::loops::LoopInstance;
 
@@ -51,80 +53,239 @@ fn median(xs: &mut [f64]) -> Option<f64> {
     })
 }
 
-/// Computes run metrics from pre-extracted throughput samples — the only
-/// thing the metrics need from the trace. Streaming callers accumulate the
-/// (small) sample list instead of buffering every event.
-pub fn run_metrics_from_samples(
-    samples: &[(onoff_rrc::trace::Timestamp, f64)],
-    tl: &CsTimeline,
-    loops: &[LoopInstance],
-) -> RunMetrics {
-    let onoff = tl.on_off_intervals();
-    let is_on_at = |t: onoff_rrc::trace::Timestamp| -> bool {
-        onoff
-            .iter()
-            .find(|(s, e, _)| t >= *s && t < *e)
-            .or(onoff.last().filter(|(_, e, _)| t >= *e))
-            .map(|(_, _, on)| *on)
-            .unwrap_or(false)
-    };
+/// A run's throughput values as the incremental core keeps them: the bare
+/// values in arrival order, cut into the timeline's intervals, with no
+/// timestamps.
+///
+/// A value counts toward the interval whose time span holds it (`s ≤ t <
+/// e`), the last interval running through the trace end. Values arrive in
+/// time order, so each interval's values are one contiguous run, and every
+/// boundary the metrics read — an interval start, a cycle's `on_at`,
+/// `off_at` or `end_at` — is a timeline sample time or the trace end. A
+/// set change appended at the newest millisecond takes the values already
+/// fed at that millisecond with it, which is why the index of the first
+/// of them is kept.
+#[derive(Debug, Default)]
+pub(crate) struct IntervalThroughput {
+    /// Throughput values, in arrival (= time) order.
+    values: Vec<f64>,
+    /// For each timeline sample after the first, the index of its
+    /// interval's first value (the first sample's interval starts at 0).
+    splits: Vec<u32>,
+    /// Time of the newest value.
+    newest_t: Timestamp,
+    /// Index of the first value at `newest_t`.
+    newest_from: usize,
+}
 
+impl IntervalThroughput {
+    /// Back to empty, keeping both buffers' capacity.
+    pub(crate) fn reset(&mut self) {
+        self.values.clear();
+        self.splits.clear();
+        self.newest_t = Timestamp(0);
+        self.newest_from = 0;
+    }
+
+    /// Appends a value fed at `t`, no earlier than every value before it.
+    pub(crate) fn push(&mut self, t: Timestamp, mbps: f64) {
+        debug_assert!(t >= self.newest_t, "throughput fed out of time order");
+        if t > self.newest_t {
+            self.newest_t = t;
+            self.newest_from = self.values.len();
+        }
+        self.values.push(mbps);
+    }
+
+    /// Opens the interval of a timeline sample appended at `t`, no earlier
+    /// than every value fed so far.
+    pub(crate) fn split(&mut self, t: Timestamp) {
+        let at = self.first_at(t);
+        self.splits
+            .push(u32::try_from(at).expect("fewer than 2^32 throughput values"));
+    }
+
+    /// Index of the first value fed at or after `t`, for `t` no earlier
+    /// than the newest value.
+    fn first_at(&self, t: Timestamp) -> usize {
+        debug_assert!(t >= self.newest_t, "boundary before the newest value");
+        if t == self.newest_t {
+            self.newest_from
+        } else {
+            self.values.len()
+        }
+    }
+
+    /// Heap held, capacity-based.
+    pub(crate) fn mem_hint(&self) -> usize {
+        self.values.capacity() * std::mem::size_of::<f64>()
+            + self.splits.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// The run's metrics over `tl`, the timeline these values were cut
+    /// along, and the loops detected on it.
+    pub(crate) fn metrics(&self, tl: &CsTimeline, loops: &[LoopInstance]) -> RunMetrics {
+        debug_assert_eq!(self.splits.len() + 1, tl.samples.len());
+        metrics(
+            &Intervals {
+                values: &self.values,
+                lead: 0,
+                splits: &self.splits,
+                tail: self.first_at(tl.end),
+            },
+            tl,
+            loops,
+        )
+    }
+}
+
+/// Time-ordered throughput values laid out on a timeline: `values[..lead]`
+/// fall before its first sample, and interval `k` holds
+/// `values[start(k)..start(k + 1)]`, the last one running to the end of
+/// `values`.
+struct Intervals<'a> {
+    values: &'a [f64],
+    /// Values before the timeline's first sample (read as OFF).
+    lead: usize,
+    /// The first value of every interval after the first.
+    splits: &'a [u32],
+    /// The first value at the trace end.
+    tail: usize,
+}
+
+impl Intervals<'_> {
+    /// Index of interval `k`'s first value.
+    fn start(&self, k: usize) -> usize {
+        match k.checked_sub(1) {
+            None => self.lead,
+            Some(i) => self
+                .splits
+                .get(i)
+                .map_or(self.values.len(), |&s| s as usize),
+        }
+    }
+
+    /// `values[from..to]`, empty when the bounds cross.
+    fn slice(&self, from: usize, to: usize) -> &[f64] {
+        self.values.get(from..to).unwrap_or_default()
+    }
+
+    /// Index of the first value at or after `b`, a sample time of `tl` or
+    /// its end.
+    fn first_at(&self, tl: &CsTimeline, b: Timestamp) -> usize {
+        let k = tl.samples.partition_point(|s| s.t < b);
+        if k < tl.samples.len() {
+            self.start(k)
+        } else {
+            self.tail
+        }
+    }
+}
+
+/// Median of `xs`, sorted in the reused `scratch`.
+fn median_of(scratch: &mut Vec<f64>, xs: &[f64]) -> Option<f64> {
+    scratch.clear();
+    scratch.extend_from_slice(xs);
+    median(scratch)
+}
+
+/// The metrics core: durations from the timeline, speed medians from
+/// contiguous runs of values, one walk over the intervals plus a binary
+/// search per cycle boundary.
+fn metrics(iv: &Intervals, tl: &CsTimeline, loops: &[LoopInstance]) -> RunMetrics {
     let mut on_ms = 0u64;
     let mut off_ms = 0u64;
-    for (s, e, on) in &onoff {
-        if *on {
-            on_ms += e.since(*s);
+    for (s, e, on) in tl.on_off_intervals() {
+        if on {
+            on_ms += e.since(s);
         } else {
-            off_ms += e.since(*s);
+            off_ms += e.since(s);
         }
     }
 
-    let mut on_speeds: Vec<f64> = Vec::new();
-    let mut off_speeds: Vec<f64> = Vec::new();
-    for &(t, mbps) in samples {
-        if is_on_at(t) {
-            on_speeds.push(mbps);
-        } else {
-            off_speeds.push(mbps);
+    let mut scratch = Vec::with_capacity(iv.values.len());
+    let mut side_median = |on: bool| {
+        scratch.clear();
+        if !on {
+            scratch.extend_from_slice(iv.slice(0, iv.lead));
         }
-    }
+        for (k, s) in tl.samples.iter().enumerate() {
+            if tl.uses_5g(s.id) == on {
+                scratch.extend_from_slice(iv.slice(iv.start(k), iv.start(k + 1)));
+            }
+        }
+        median(&mut scratch)
+    };
+    let median_on_mbps = side_median(true);
+    let median_off_mbps = side_median(false);
 
     let mut cycle_stats = Vec::new();
-    for lp in loops {
-        for c in &lp.cycles {
-            let mut on_v: Vec<f64> = samples
-                .iter()
-                .filter(|(t, _)| *t >= c.on_at && *t < c.off_at)
-                .map(|(_, m)| *m)
-                .collect();
-            let mut off_v: Vec<f64> = samples
-                .iter()
-                .filter(|(t, _)| *t >= c.off_at && *t < c.end_at)
-                .map(|(_, m)| *m)
-                .collect();
-            let on_mbps = median(&mut on_v);
-            let off_mbps = median(&mut off_v);
-            cycle_stats.push(CycleStat {
-                cycle_ms: c.cycle_ms(),
-                off_ms: c.off_ms(),
-                off_ratio: c.off_ratio(),
-                on_mbps,
-                off_mbps,
-                loss_mbps: match (on_mbps, off_mbps) {
-                    (Some(a), Some(b)) => Some(a - b),
-                    _ => None,
-                },
-            });
-        }
+    for c in loops.iter().flat_map(|lp| &lp.cycles) {
+        let on_at = iv.first_at(tl, c.on_at);
+        let off_at = iv.first_at(tl, c.off_at);
+        let end_at = iv.first_at(tl, c.end_at);
+        let on_mbps = median_of(&mut scratch, iv.slice(on_at, off_at));
+        let off_mbps = median_of(&mut scratch, iv.slice(off_at, end_at));
+        cycle_stats.push(CycleStat {
+            cycle_ms: c.cycle_ms(),
+            off_ms: c.off_ms(),
+            off_ratio: c.off_ratio(),
+            on_mbps,
+            off_mbps,
+            loss_mbps: match (on_mbps, off_mbps) {
+                (Some(a), Some(b)) => Some(a - b),
+                _ => None,
+            },
+        });
     }
 
     RunMetrics {
         on_ms,
         off_ms,
-        median_on_mbps: median(&mut on_speeds),
-        median_off_mbps: median(&mut off_speeds),
+        median_on_mbps,
+        median_off_mbps,
         cycle_stats,
     }
+}
+
+/// Computes run metrics from timestamped throughput samples, in any
+/// order. Sorts a copy by time, cuts it along the timeline in one walk
+/// and hands the values to the same core the analyzer uses; the loops'
+/// cycle boundaries must be sample times of `tl` or its end, as loop
+/// detection over `tl` gives them.
+pub fn run_metrics_from_samples(
+    samples: &[(Timestamp, f64)],
+    tl: &CsTimeline,
+    loops: &[LoopInstance],
+) -> RunMetrics {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by_key(|&(t, _)| t);
+    let values: Vec<f64> = sorted.iter().map(|&(_, v)| v).collect();
+    let mut next = 0;
+    let mut first_at = |b: Timestamp| {
+        while sorted.get(next).is_some_and(|&(t, _)| t < b) {
+            next += 1;
+        }
+        next
+    };
+    let lead = tl.samples.first().map_or(values.len(), |s| first_at(s.t));
+    let splits: Vec<u32> = tl
+        .samples
+        .iter()
+        .skip(1)
+        .map(|s| u32::try_from(first_at(s.t)).expect("fewer than 2^32 throughput values"))
+        .collect();
+    let tail = first_at(tl.end);
+    metrics(
+        &Intervals {
+            values: &values,
+            lead,
+            splits: &splits,
+            tail,
+        },
+        tl,
+        loops,
+    )
 }
 
 #[cfg(test)]

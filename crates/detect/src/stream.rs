@@ -31,7 +31,7 @@ use crate::cellset::{CsSample, TimelineBuilder};
 use crate::classify::{LoopType, OffClassifier, OffTransition};
 use crate::degrade::DegradationReport;
 use crate::loops::{EpisodeTracker, LoopInstance};
-use crate::metrics::run_metrics_from_samples;
+use crate::metrics::IntervalThroughput;
 use crate::RunAnalysis;
 
 /// How late (ms behind the newest seen timestamp) an event may arrive and
@@ -58,8 +58,9 @@ pub struct TraceAnalyzer {
     timeline: TimelineBuilder,
     episodes: EpisodeTracker,
     classifier: OffClassifier,
-    /// Throughput samples — all the metrics stage needs from the trace.
-    throughput: Vec<(Timestamp, f64)>,
+    /// Throughput values cut along the timeline — all the metrics stage
+    /// needs from the trace.
+    throughput: IntervalThroughput,
     events_seen: usize,
     /// Most recent compressed timeline sample (starts at the implicit
     /// IDLE sample).
@@ -90,7 +91,7 @@ impl TraceAnalyzer {
             timeline: TimelineBuilder::new(),
             episodes: EpisodeTracker::new(),
             classifier: OffClassifier::new(),
-            throughput: Vec::new(),
+            throughput: IntervalThroughput::default(),
             events_seen: 0,
             cur_sample: CsSample {
                 t: Timestamp(0),
@@ -130,7 +131,7 @@ impl TraceAnalyzer {
         self.timeline.reset();
         self.episodes.reset();
         self.classifier.reset();
-        self.throughput.clear();
+        self.throughput.reset();
         self.events_seen = 0;
         self.cur_sample = CsSample {
             t: Timestamp(0),
@@ -183,12 +184,13 @@ impl TraceAnalyzer {
         self.max_t = ev.t();
         self.events_seen += 1;
         if let TraceEvent::Throughput { t, mbps } = ev {
-            self.throughput.push((*t, *mbps));
+            self.throughput.push(*t, *mbps);
         }
         // The classifier sees the event before any transition it causes,
         // so the event itself counts as classification evidence.
         self.classifier.feed_event(ev);
         if let Some(sample) = self.timeline.feed(ev) {
+            self.throughput.split(sample.t);
             let prev_on = self.timeline.uses_5g(self.cur_sample.id);
             let on = self.timeline.uses_5g(sample.id);
             self.episodes.feed(sample.t, sample.id, on);
@@ -234,7 +236,7 @@ impl TraceAnalyzer {
         self.timeline.mem_hint()
             + self.episodes.mem_hint()
             + self.classifier.mem_hint()
-            + self.throughput.capacity() * std::mem::size_of::<(Timestamp, f64)>()
+            + self.throughput.mem_hint()
             + self.scorer.as_ref().map_or(0, OnlineScorer::mem_hint)
     }
 
@@ -279,7 +281,7 @@ impl TraceAnalyzer {
         let timeline = self.timeline.snapshot();
         let loops = self.episodes.detect(timeline.end);
         let off_transitions = self.classifier.transitions();
-        let metrics = run_metrics_from_samples(&self.throughput, &timeline, &loops);
+        let metrics = self.throughput.metrics(&timeline, &loops);
         let degradation = self.degradation();
         RunAnalysis {
             timeline,
@@ -297,7 +299,7 @@ impl TraceAnalyzer {
         let loops = self.episodes.detect(end);
         let off_transitions = self.classifier.finish();
         let timeline = self.timeline.finish();
-        let metrics = run_metrics_from_samples(&self.throughput, &timeline, &loops);
+        let metrics = self.throughput.metrics(&timeline, &loops);
         RunAnalysis {
             timeline,
             loops,

@@ -120,7 +120,10 @@ impl<'a> Fields<'a> {
 
     /// Lines strictly inside a `name {` ... `}` block, as a borrowed
     /// iterator over the body slice (no per-record `Vec`).
-    fn block(&self, open: &str) -> Result<impl Iterator<Item = &'a str> + 'a, ParseErrorKind> {
+    fn block(
+        &self,
+        open: &str,
+    ) -> Result<impl ExactSizeIterator<Item = &'a str> + 'a, ParseErrorKind> {
         let range = match self.body.iter().position(|l| l.trim() == open) {
             Some(start) => {
                 let inner = &self.body[start + 1..];
@@ -265,8 +268,9 @@ fn parse_message(
             let trigger = fields
                 .get("trigger = ")
                 .map(|v| Trigger::from_label(v.trim()));
-            let mut results = InlineVec::new();
-            for line in fields.block("measResults {")? {
+            let rows = fields.block("measResults {")?;
+            let mut results = InlineVec::with_capacity(rows.len());
+            for line in rows {
                 results.push(match parse_meas_row_fast(line) {
                     Some(r) => r,
                     None => parse_meas_row_general(line)?,

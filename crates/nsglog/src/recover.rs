@@ -142,6 +142,9 @@ pub struct RecoveringParser {
     /// The open record's lines, head first, each newline-terminated, once
     /// the record has outlived the piece it started in.
     carry: String,
+    /// The one buffer every record's continuation lines are gathered in,
+    /// kept empty between calls for its capacity (see [`relend`]).
+    body: Vec<&'static str>,
 }
 
 /// Where a [`RecoveringParser`] stands between two lines.
@@ -169,6 +172,7 @@ impl RecoveringParser {
             state: State::Start,
             head_line: 0,
             carry: String::new(),
+            body: Vec::new(),
         }
     }
 
@@ -201,10 +205,23 @@ impl RecoveringParser {
     /// Runs `piece` through the line state machine; with `end`, also
     /// closes the record left open, as the end of the text does.
     fn feed(&mut self, piece: &str, end: bool, sink: &mut impl FnMut(TraceEvent)) {
+        let mut body = relend(std::mem::take(&mut self.body));
+        self.feed_lines(piece, end, &mut body, sink);
+        self.body = relend(body);
+    }
+
+    /// The body of [`feed`](Self::feed), gathering continuation lines in
+    /// `body`.
+    fn feed_lines<'p>(
+        &mut self,
+        piece: &'p str,
+        end: bool,
+        body: &mut Vec<&'p str>,
+        sink: &mut impl FnMut(TraceEvent),
+    ) {
         // The open record while its head lies in `piece`; when it does
         // not, the open record is in `carry`.
         let mut head = None;
-        let mut body = Vec::new();
         for raw in piece.lines() {
             if self.state == State::Fused {
                 return;
@@ -233,8 +250,8 @@ impl RecoveringParser {
             }
             if self.state == State::Open {
                 match head {
-                    Some(head) => self.close(head, &body, sink),
-                    None => self.close_carried(sink),
+                    Some(head) => self.close(head, body, sink),
+                    None => self.close_carried(body, sink),
                 }
                 if self.state == State::Fused {
                     return;
@@ -246,26 +263,29 @@ impl RecoveringParser {
             self.state = State::Open;
         }
         match head {
-            Some(head) if end => self.close(head, &body, sink),
+            Some(head) if end => self.close(head, body, sink),
             Some(head) => {
-                for line in std::iter::once(head).chain(body) {
+                for line in std::iter::once(head).chain(body.iter().copied()) {
                     self.carry.push_str(line);
                     self.carry.push('\n');
                 }
             }
-            None if end && self.state == State::Open => self.close_carried(sink),
+            None if end && self.state == State::Open => self.close_carried(body, sink),
             None => {}
         }
     }
 
     /// Decodes the open record from `carry` (stored lines hold no
-    /// newline, so splitting on it restores them exactly).
-    fn close_carried(&mut self, sink: &mut impl FnMut(TraceEvent)) {
+    /// newline, so splitting on it restores them exactly), gathering its
+    /// continuation lines in `spare`'s buffer.
+    fn close_carried(&mut self, spare: &mut Vec<&str>, sink: &mut impl FnMut(TraceEvent)) {
         let mut carry = std::mem::take(&mut self.carry);
         let mut lines = carry.split_terminator('\n');
         let head = lines.next().expect("a carried record holds its head");
-        let body: Vec<&str> = lines.collect();
+        let mut body = relend(std::mem::take(spare));
+        body.extend(lines);
         self.close(head, &body, sink);
+        *spare = relend(body);
         carry.clear();
         self.carry = carry;
     }
@@ -305,6 +325,13 @@ impl RecoveringParser {
             self.state = State::Fused;
         }
     }
+}
+
+/// Empties `lines` and hands its buffer back for slices of another
+/// lifetime: collecting the empty vector in place keeps the allocation.
+fn relend<'a>(mut lines: Vec<&str>) -> Vec<&'a str> {
+    lines.clear();
+    lines.into_iter().map(|_| "").collect()
 }
 
 /// A raw source line as the parser sees it: `None` for a blank line,

@@ -76,6 +76,19 @@ impl<T, const N: usize> InlineVec<T, N> {
         }
     }
 
+    /// An empty vector with room for `n` elements: inline when they fit,
+    /// otherwise one heap buffer of exactly `n`, so pushing them never
+    /// regrows it.
+    pub fn with_capacity(n: usize) -> InlineVec<T, N> {
+        if n <= N {
+            InlineVec::new()
+        } else {
+            InlineVec {
+                repr: Repr::Heap(Vec::with_capacity(n)),
+            }
+        }
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         match &self.repr {

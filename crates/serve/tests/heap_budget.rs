@@ -6,18 +6,21 @@
 //! (DESIGN.md §15). This test pins that: 64 concurrent sessions, scoring
 //! on, each fed one simulated five-minute trace in 64-event
 //! `ingest_drain` frames round-robin, must peak within [`BUDGET_BYTES`]
-//! of live heap. It reads ≈ 2.0 MB with the OFF classifier keeping the
-//! rows of the last three measurement reports; keeping 20 s of report
-//! rows (≈ 2.8 MB) fails it, and so do sessions that copy every event
-//! into a log again (≈ 18 MB).
+//! of live heap. It reads 1,550,324 B with each analyzer keeping its
+//! throughput as bare values per timeline interval and each session boxed
+//! out of its shard's map; keeping a timestamp with every value and the
+//! whole session inline in the map's buckets (1,984,532 B) fails it, and
+//! so do keeping 20 s of report rows in the OFF classifier (≈ 2.8 MB) or
+//! sessions that copy every event into a log again (≈ 18 MB).
 //!
-//! The ledger that enforces such budgets charges each session its
-//! analyzer's `mem_hint`, plus its event log when the table has a
-//! snapshot directory, so a second test pins that the hint covers what a
-//! scored session's analyzer really holds, pending reports included, and
-//! that a logged session's charge covers what the whole session holds,
-//! the report rows its logged events own included, through an evict →
-//! restore.
+//! The ledger that enforces such budgets charges each session its boxed
+//! `Session` and its slot in the shard's maps, its analyzer's `mem_hint`,
+//! and its event log when the table has a snapshot directory, so a second
+//! test pins that the hint covers what a scored session's analyzer really
+//! holds, pending reports included, and that a logged session's charge
+//! covers what the whole session holds — the box, the map slot and the
+//! report rows its logged events own included — from the moment it opens
+//! and through an evict → restore.
 //!
 //! The allocator counts live bytes for the measuring thread only, through
 //! a const-initialised thread-local flag, so tests running in parallel in
@@ -34,8 +37,8 @@ use onoff_policy::PhoneModel;
 use onoff_rrc::trace::TraceEvent;
 use onoff_serve::{ServeConfig, SessionMeta, SessionTable};
 
-/// Peak live heap allowed for the whole fleet: 2.5 MiB.
-const BUDGET_BYTES: i64 = 5 << 19;
+/// Peak live heap allowed for the whole fleet: 1.75 MiB.
+const BUDGET_BYTES: i64 = 7 << 18;
 /// Concurrent sessions.
 const SESSIONS: usize = 64;
 /// Locations per area whose traces the sessions stream.
@@ -170,13 +173,15 @@ fn concurrent_sessions_without_snapshot_dir_within_budget() {
 ///
 /// Then the same traces go through a table with a snapshot directory, one
 /// session per table in [`FRAME_EVENTS`]-event frames, and the ledger's
-/// charge must cover the live heap after every frame, the session's log
-/// and the report rows its events own included. Halfway through each
-/// trace the session is evicted and a query restores it from its
-/// snapshot; the charge must cover the restored session too. Each table
-/// starts from zero live bytes once its session exists, so what the
-/// session grows to hold (analyzer, log, the heap its logged events own)
-/// and what an evict → restore leaves behind are what it measures.
+/// charge must cover the live heap once the session opens and after every
+/// frame, the session's log and the report rows its events own included.
+/// Halfway through each trace the session is evicted and a query restores
+/// it from its snapshot; the charge must cover the restored session too.
+/// Each table starts from zero live bytes right after it is built, before
+/// its session exists, so the session's box and its slot in the shard's
+/// maps, what the session grows to hold (analyzer, log, the heap its
+/// logged events own) and what an evict → restore leaves behind are what
+/// it measures.
 #[test]
 fn scored_session_mem_hint_covers_its_live_heap() {
     let traces = traces();
@@ -221,11 +226,16 @@ fn scored_session_mem_hint_covers_its_live_heap() {
         });
         let sid = i as u64;
         let half = trace.len().div_ceil(FRAME_EVENTS) / 2;
+        LIVE.with(|l| l.set(0));
+        TRACKING.with(|on| on.set(true));
         table
             .ingest(sid, Vec::new(), SessionMeta::default())
             .expect("an empty ingest opens the session");
-        LIVE.with(|l| l.set(0));
-        TRACKING.with(|on| on.set(true));
+        let (live, charge) = (LIVE.with(Cell::get), table.bytes_used());
+        assert!(
+            live <= charge as i64,
+            "trace {i}: the opened session held {live} B live, charged {charge} B"
+        );
         for (f, frame) in trace.chunks(FRAME_EVENTS).enumerate() {
             if f == half {
                 assert!(table.evict(sid), "trace {i}: the session spills");
