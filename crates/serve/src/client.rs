@@ -56,7 +56,8 @@ impl Client {
         }
     }
 
-    /// Reads until one complete response frame arrives.
+    /// Reads until one complete response frame arrives, and decodes it
+    /// from where the reassembly buffer holds it.
     pub fn read_response(&mut self) -> std::io::Result<Response> {
         let mut buf = [0u8; 16 * 1024];
         loop {
@@ -65,7 +66,7 @@ impl Client {
                 .next_frame()
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
             {
-                return Response::decode(kind, &payload).map_err(|e| {
+                return Response::decode(kind, payload).map_err(|e| {
                     std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
                 });
             }

@@ -19,8 +19,9 @@
 //! - a client idle past the idle timeout is dropped;
 //! - connections past [`DaemonConfig::max_connections`] are answered
 //!   with one [`Response::Shed`] and closed at accept time, bounding the
-//!   fleet's per-connection buffering (each connection can hold up to
-//!   one maximum frame) independently of the session-table budget.
+//!   fleet's per-connection buffering (each connection holds its
+//!   [`FrameLoop`]: a reassembly buffer of up to one maximum frame and
+//!   one answer buffer) independently of the session-table budget.
 //!
 //! None of these touch any other connection or session. Shutdown stops
 //! the listeners, parks the workers, and drains every live session to
@@ -37,7 +38,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::ServeEngine;
-use crate::protocol::{FrameBuf, Request, Response};
+use crate::protocol::{FrameBuf, RequestView, Response};
 use crate::session::ServeConfig;
 
 /// Where and how the daemon listens.
@@ -55,9 +56,12 @@ pub struct DaemonConfig {
     pub idle_timeout: Duration,
     /// Drop a connection that will not accept responses for this long.
     pub write_timeout: Duration,
-    /// Concurrent-connection cap across all listeners. Each connection's
-    /// reassembly buffer can hold up to one maximum frame, so this bounds
-    /// worst-case connection memory at `max_connections * MAX_FRAME_LEN`;
+    /// Concurrent-connection cap across all listeners. A connection
+    /// holds two buffers and nothing else: its reassembly buffer, which
+    /// can reach one maximum frame plus a header and one read, and its
+    /// answer buffer, which keeps the capacity of the largest answer sent
+    /// on it (a session report, a few KB). So this bounds worst-case
+    /// connection memory at about `max_connections * MAX_FRAME_LEN`;
     /// excess clients are answered with a shed and closed at accept.
     pub max_connections: usize,
     /// Session-table limits and layout.
@@ -104,11 +108,20 @@ impl Stream {
             Stream::Unix(s) => s.read(buf),
         }
     }
+}
 
-    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.write_all(buf),
-            Stream::Unix(s) => s.write_all(buf),
+            Stream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.flush(),
+            Stream::Unix(s) => s.flush(),
         }
     }
 }
@@ -127,9 +140,61 @@ impl Drop for ConnSlot {
 
 struct Conn {
     stream: Stream,
-    frames: FrameBuf,
+    frames: FrameLoop,
     last_activity: Instant,
     _slot: ConnSlot,
+}
+
+/// One connection's frame loop: its reassembly buffer and its answer
+/// buffer, the only memory a connection holds.
+///
+/// Each frame is decoded where the reassembly buffer holds it
+/// ([`RequestView`]) and answered through
+/// [`ServeEngine::handle_view`], so no payload is copied between the
+/// socket read and the parser; every answer is encoded into the one
+/// answer buffer, cleared for each. The daemon's workers run one per
+/// connection; a test can drive one without a socket.
+#[derive(Debug, Default)]
+pub struct FrameLoop {
+    frames: FrameBuf,
+    answer: Vec<u8>,
+}
+
+impl FrameLoop {
+    /// A loop with empty buffers; they grow only as frames arrive.
+    pub fn new() -> FrameLoop {
+        FrameLoop::default()
+    }
+
+    /// Takes `bytes` read from the connection and writes to `out` one
+    /// answer for every frame they complete. False when the connection
+    /// must close: an answer could not be written, or the framing is lost
+    /// (after one last diagnostic). Only this connection suffers.
+    pub fn serve(&mut self, engine: &ServeEngine, bytes: &[u8], out: &mut impl Write) -> bool {
+        self.frames.push(bytes);
+        loop {
+            let (resp, keep) = match self.frames.next_frame() {
+                Ok(Some((kind, payload))) => match RequestView::decode(kind, payload) {
+                    Ok(req) => (engine.handle_view(req), true),
+                    Err(e) => {
+                        engine.note_frame_error();
+                        let msg = format!("bad frame: {e}");
+                        (Response::Error { msg }, true)
+                    }
+                },
+                Ok(None) => return true,
+                Err(e) => {
+                    engine.note_frame_error();
+                    (Response::Error { msg: e.to_string() }, false)
+                }
+            };
+            self.answer.clear();
+            resp.encode_into(&mut self.answer);
+            if out.write_all(&self.answer).is_err() || !keep {
+                return false;
+            }
+        }
+    }
 }
 
 #[derive(Default)]
@@ -276,7 +341,7 @@ fn spawn_acceptor(
                     }
                     injector.push(Conn {
                         stream,
-                        frames: FrameBuf::new(),
+                        frames: FrameLoop::new(),
                         last_activity: Instant::now(),
                         _slot: slot,
                     });
@@ -331,34 +396,7 @@ fn service_slice(engine: &ServeEngine, conn: &mut Conn, idle_timeout: Duration) 
         Ok(0) => false, // peer closed
         Ok(n) => {
             conn.last_activity = Instant::now();
-            conn.frames.push(&buf[..n]);
-            loop {
-                match conn.frames.next_frame() {
-                    Ok(Some((kind, payload))) => {
-                        let resp = match Request::decode(kind, &payload) {
-                            Ok(req) => engine.handle(req),
-                            Err(e) => {
-                                engine.note_frame_error();
-                                Response::Error {
-                                    msg: format!("bad frame: {e}"),
-                                }
-                            }
-                        };
-                        if conn.stream.write_all(&resp.encode()).is_err() {
-                            return false;
-                        }
-                    }
-                    Ok(None) => return true,
-                    Err(e) => {
-                        // Framing is unrecoverable: one last diagnostic,
-                        // then close. Only this connection suffers.
-                        engine.note_frame_error();
-                        let bye = Response::Error { msg: e.to_string() };
-                        conn.stream.write_all(&bye.encode()).ok();
-                        return false;
-                    }
-                }
-            }
+            conn.frames.serve(engine, &buf[..n], &mut conn.stream)
         }
         Err(e)
             if e.kind() == std::io::ErrorKind::WouldBlock

@@ -1,9 +1,11 @@
 //! The transport-independent request engine.
 //!
 //! [`ServeEngine`] owns the [`SessionTable`] and maps each decoded
-//! [`Request`] to a [`Response`]. The daemon's socket workers, the bench
-//! harness, and the tests all drive this same object, so wire behavior
-//! and in-process behavior cannot drift.
+//! request to a [`Response`]: a [`RequestView`] borrowed from the frame
+//! as the daemon's socket workers decode it, or an owned [`Request`] as
+//! the bench harness and the tests build it, through the one dispatch in
+//! [`ServeEngine::handle_view`]. So wire behavior and in-process behavior
+//! cannot drift.
 //!
 //! Ingest decoding honors the configured [`RecoveryPolicy`]: under the
 //! lossy policies, malformed text records or corrupt store segments are dropped
@@ -21,7 +23,7 @@ use onoff_store::StoreReader;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::FleetMetrics;
-use crate::protocol::{Request, Response};
+use crate::protocol::{Request, RequestView, Response};
 use crate::session::{ServeConfig, SessionError, SessionTable};
 use crate::snapshot::SessionMeta;
 
@@ -126,19 +128,29 @@ impl ServeEngine {
         )
     }
 
-    /// Maps a decoded request to its response. Never panics on any input;
-    /// failures come back as [`Response::Error`] or [`Response::Shed`].
+    /// Maps an owned request to its response: [`handle_view`] on its
+    /// view.
+    ///
+    /// [`handle_view`]: ServeEngine::handle_view
     pub fn handle(&self, req: Request) -> Response {
+        self.handle_view(req.view())
+    }
+
+    /// Maps a request decoded in place to its response, reading its text
+    /// or store bytes where the frame holds them. Never panics on any
+    /// input; failures come back as [`Response::Error`] or
+    /// [`Response::Shed`].
+    pub fn handle_view(&self, req: RequestView<'_>) -> Response {
         self.frames.fetch_add(1, Ordering::Relaxed);
         match req {
-            Request::TextEvents { sid, text } => self.ingest_text(sid, &text),
-            Request::BinEvents { sid, bytes } => self.ingest_bin(sid, &bytes),
-            Request::Query { sid } => self.report(sid, false),
-            Request::EndSession { sid } => self.report(sid, true),
-            Request::FleetQuery => Response::Json {
+            RequestView::TextEvents { sid, text } => self.ingest_text(sid, text),
+            RequestView::BinEvents { sid, bytes } => self.ingest_bin(sid, bytes),
+            RequestView::Query { sid } => self.report(sid, false),
+            RequestView::EndSession { sid } => self.report(sid, true),
+            RequestView::FleetQuery => Response::Json {
                 payload: serde_json::to_string(&self.metrics()).expect("metrics serialize"),
             },
-            Request::Ping => Response::Ok { events: 0 },
+            RequestView::Ping => Response::Ok { events: 0 },
         }
     }
 

@@ -37,10 +37,10 @@ pub mod session;
 pub mod snapshot;
 
 pub use client::Client;
-pub use daemon::{Daemon, DaemonConfig};
+pub use daemon::{Daemon, DaemonConfig, FrameLoop};
 pub use engine::{ServeEngine, SessionReport};
 pub use metrics::FleetMetrics;
-pub use protocol::{DecodeError, FrameBuf, FrameError, Request, Response};
+pub use protocol::{DecodeError, FrameBuf, FrameError, Request, RequestView, Response};
 pub use session::{FinalReport, ServeConfig, SessionError, SessionTable, TableStats};
 pub use snapshot::{
     read_snapshot, snapshot_path, write_snapshot, SessionMeta, Snapshot, SnapshotError,

@@ -160,23 +160,20 @@ impl fmt::Display for DecodeError {
     }
 }
 
-fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+/// Appends one frame to `out`: the header, then `parts` back to back as
+/// the payload.
+fn frame_into(out: &mut Vec<u8>, kind: u8, parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
     // Request::encode rejects oversized payloads before reaching here;
     // responses are bounded by the budgets upstream. The assert guards
     // the u32 cast below from ever silently wrapping at 4 GiB.
-    debug_assert!(payload.len() < MAX_FRAME_LEN);
-    let mut out = Vec::with_capacity(5 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32 + 1).to_le_bytes());
+    debug_assert!(len < MAX_FRAME_LEN);
+    out.reserve(5 + len);
+    out.extend_from_slice(&(len as u32 + 1).to_le_bytes());
     out.push(kind);
-    out.extend_from_slice(payload);
-    out
-}
-
-fn sid_payload(sid: u64, rest: &[u8]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(8 + rest.len());
-    p.extend_from_slice(&sid.to_le_bytes());
-    p.extend_from_slice(rest);
-    p
+    for part in parts {
+        out.extend_from_slice(part);
+    }
 }
 
 fn split_sid(payload: &[u8]) -> Result<(u64, &[u8]), DecodeError> {
@@ -196,58 +193,150 @@ impl Request {
     /// `TextEvents`/`BinEvents` requests; analyzer state is cumulative
     /// per session, so chunking does not change the analysis.
     pub fn encode(&self) -> Result<Vec<u8>, FrameError> {
-        let (kind, payload) = match self {
-            Request::TextEvents { sid, text } => (REQ_TEXT, sid_payload(*sid, text.as_bytes())),
-            Request::BinEvents { sid, bytes } => (REQ_BIN, sid_payload(*sid, bytes)),
-            Request::Query { sid } => (REQ_QUERY, sid_payload(*sid, &[])),
-            Request::FleetQuery => (REQ_FLEET, Vec::new()),
-            Request::EndSession { sid } => (REQ_END, sid_payload(*sid, &[])),
-            Request::Ping => (REQ_PING, Vec::new()),
+        let (kind, sid, body): (u8, Option<u64>, &[u8]) = match self {
+            Request::TextEvents { sid, text } => (REQ_TEXT, Some(*sid), text.as_bytes()),
+            Request::BinEvents { sid, bytes } => (REQ_BIN, Some(*sid), bytes),
+            Request::Query { sid } => (REQ_QUERY, Some(*sid), &[]),
+            Request::FleetQuery => (REQ_FLEET, None, &[]),
+            Request::EndSession { sid } => (REQ_END, Some(*sid), &[]),
+            Request::Ping => (REQ_PING, None, &[]),
         };
-        let len = payload.len() + 1;
+        let sid = sid.map(u64::to_le_bytes);
+        let sid: &[u8] = sid.as_ref().map_or(&[], |s| s);
+        let len = 1 + sid.len() + body.len();
         if len > MAX_FRAME_LEN {
             return Err(FrameError::TooLarge { len });
         }
-        Ok(frame(kind, &payload))
+        let mut out = Vec::new();
+        frame_into(&mut out, kind, &[sid, body]);
+        Ok(out)
     }
 
-    /// Decodes one frame body (`kind` byte plus payload).
+    /// Decodes one frame body (`kind` byte plus payload) into an owned
+    /// request: [`RequestView::decode`], copied out of the frame.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Request, DecodeError> {
+        RequestView::decode(kind, payload).map(Request::from)
+    }
+
+    /// The request as the borrowed view the engine dispatches on.
+    pub fn view(&self) -> RequestView<'_> {
+        match self {
+            Request::TextEvents { sid, text } => RequestView::TextEvents { sid: *sid, text },
+            Request::BinEvents { sid, bytes } => RequestView::BinEvents { sid: *sid, bytes },
+            Request::Query { sid } => RequestView::Query { sid: *sid },
+            Request::FleetQuery => RequestView::FleetQuery,
+            Request::EndSession { sid } => RequestView::EndSession { sid: *sid },
+            Request::Ping => RequestView::Ping,
+        }
+    }
+}
+
+/// A request decoded where its frame lies: the text and store bytes
+/// borrow the frame's payload instead of copying it.
+///
+/// The daemon decodes every frame into a view and hands it to
+/// [`ServeEngine::handle_view`](crate::ServeEngine::handle_view), so
+/// nothing is copied between the socket read and the parser. The owned
+/// [`Request`] clients build converts to and from it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RequestView<'a> {
+    /// See [`Request::TextEvents`]; the text is checked UTF-8.
+    TextEvents {
+        /// Target session.
+        sid: u64,
+        /// Raw NSG log text.
+        text: &'a str,
+    },
+    /// See [`Request::BinEvents`].
+    BinEvents {
+        /// Target session.
+        sid: u64,
+        /// A complete store file image.
+        bytes: &'a [u8],
+    },
+    /// See [`Request::Query`].
+    Query {
+        /// Target session.
+        sid: u64,
+    },
+    /// See [`Request::FleetQuery`].
+    FleetQuery,
+    /// See [`Request::EndSession`].
+    EndSession {
+        /// Target session.
+        sid: u64,
+    },
+    /// See [`Request::Ping`].
+    Ping,
+}
+
+impl<'a> RequestView<'a> {
+    /// Decodes one frame body (`kind` byte plus payload) in place.
+    pub fn decode(kind: u8, payload: &'a [u8]) -> Result<RequestView<'a>, DecodeError> {
         match kind {
             REQ_TEXT => {
                 let (sid, rest) = split_sid(payload)?;
-                let text = String::from_utf8(rest.to_vec()).map_err(|_| DecodeError::BadUtf8)?;
-                Ok(Request::TextEvents { sid, text })
+                let text = std::str::from_utf8(rest).map_err(|_| DecodeError::BadUtf8)?;
+                Ok(RequestView::TextEvents { sid, text })
             }
             REQ_BIN => {
-                let (sid, rest) = split_sid(payload)?;
-                Ok(Request::BinEvents {
-                    sid,
-                    bytes: rest.to_vec(),
-                })
+                let (sid, bytes) = split_sid(payload)?;
+                Ok(RequestView::BinEvents { sid, bytes })
             }
-            REQ_QUERY => Ok(Request::Query {
+            REQ_QUERY => Ok(RequestView::Query {
                 sid: split_sid(payload)?.0,
             }),
-            REQ_FLEET => Ok(Request::FleetQuery),
-            REQ_END => Ok(Request::EndSession {
+            REQ_FLEET => Ok(RequestView::FleetQuery),
+            REQ_END => Ok(RequestView::EndSession {
                 sid: split_sid(payload)?.0,
             }),
-            REQ_PING => Ok(Request::Ping),
+            REQ_PING => Ok(RequestView::Ping),
             k => Err(DecodeError::UnknownKind(k)),
         }
     }
 }
 
-impl Response {
-    /// Encodes the response as one wire frame.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Response::Ok { events } => frame(RESP_OK, &events.to_le_bytes()),
-            Response::Error { msg } => frame(RESP_ERROR, msg.as_bytes()),
-            Response::Shed { reason } => frame(RESP_SHED, reason.as_bytes()),
-            Response::Json { payload } => frame(RESP_JSON, payload.as_bytes()),
+impl From<RequestView<'_>> for Request {
+    fn from(view: RequestView<'_>) -> Request {
+        match view {
+            RequestView::TextEvents { sid, text } => Request::TextEvents {
+                sid,
+                text: text.to_owned(),
+            },
+            RequestView::BinEvents { sid, bytes } => Request::BinEvents {
+                sid,
+                bytes: bytes.to_vec(),
+            },
+            RequestView::Query { sid } => Request::Query { sid },
+            RequestView::FleetQuery => Request::FleetQuery,
+            RequestView::EndSession { sid } => Request::EndSession { sid },
+            RequestView::Ping => Request::Ping,
         }
+    }
+}
+
+impl Response {
+    /// Encodes the response as one wire frame, in a buffer of its own.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the response to `out` as one wire frame, so a connection
+    /// can encode every answer into one reused buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let events;
+        let (kind, payload): (u8, &[u8]) = match self {
+            Response::Ok { events: n } => {
+                events = n.to_le_bytes();
+                (RESP_OK, &events)
+            }
+            Response::Error { msg } => (RESP_ERROR, msg.as_bytes()),
+            Response::Shed { reason } => (RESP_SHED, reason.as_bytes()),
+            Response::Json { payload } => (RESP_JSON, payload.as_bytes()),
+        };
+        frame_into(out, kind, &[payload]);
     }
 
     /// Decodes one frame body (`kind` byte plus payload).
@@ -280,12 +369,17 @@ impl Response {
 /// Incremental frame reassembly over an arbitrary byte stream.
 ///
 /// Push whatever the socket produced with [`push`](FrameBuf::push); pop
-/// complete `(kind, payload)` frames with [`next_frame`](FrameBuf::next_frame).
-/// The buffer never holds more than one maximum frame plus a header, so a
-/// client cannot balloon daemon memory by writing an endless frame.
+/// complete `(kind, payload)` frames with [`next_frame`](FrameBuf::next_frame),
+/// which lends each payload where the buffer holds it. Popped frames stay
+/// in place until the next push drops them all in one compaction, so the
+/// buffer never holds more than one maximum frame, a header and one push,
+/// and a client cannot balloon daemon memory by writing an endless frame.
+/// It grows only as bytes arrive, never from a declared length.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already popped as frames.
+    consumed: usize,
 }
 
 impl FrameBuf {
@@ -294,49 +388,62 @@ impl FrameBuf {
         FrameBuf::default()
     }
 
-    /// Appends raw socket bytes.
+    /// Appends raw socket bytes, first dropping every frame popped since
+    /// the last push.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered (incomplete frame remainder).
+    /// Bytes currently buffered and not yet popped (incomplete frame
+    /// remainder, or whole frames not yet popped).
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.consumed
     }
 
-    /// Extracts the next complete frame, if one is buffered.
+    /// Pops the next complete frame, if one is buffered, lending its
+    /// payload until the next call.
     ///
     /// `Ok(Some((kind, payload)))` — a full frame; `Ok(None)` — need more
     /// bytes; `Err` — the length prefix is unframeable and the connection
     /// must be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, FrameError> {
-        if self.buf.len() < 4 {
+    pub fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>, FrameError> {
+        let pending = &self.buf[self.consumed..];
+        if pending.len() < 4 {
             return Ok(None);
         }
-        let declared = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+        let declared = u32::from_le_bytes(pending[..4].try_into().expect("4 bytes")) as usize;
         if declared == 0 || declared > MAX_FRAME_LEN {
             return Err(FrameError::Poisoned { declared });
         }
-        if self.buf.len() < 4 + declared {
+        if pending.len() < 4 + declared {
             return Ok(None);
         }
-        let kind = self.buf[4];
-        let payload = self.buf[5..4 + declared].to_vec();
-        self.buf.drain(..4 + declared);
-        Ok(Some((kind, payload)))
+        let frame = &self.buf[self.consumed + 4..self.consumed + 4 + declared];
+        self.consumed += 4 + declared;
+        Ok(Some((frame[0], &frame[1..])))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame_into(&mut out, kind, &[payload]);
+        out
+    }
 
     fn roundtrip_req(req: Request) {
         let wire = req.encode().unwrap();
         let mut fb = FrameBuf::new();
         fb.push(&wire);
         let (kind, payload) = fb.next_frame().unwrap().expect("one frame");
-        assert_eq!(Request::decode(kind, &payload).unwrap(), req);
+        assert_eq!(Request::decode(kind, payload).unwrap(), req);
         assert_eq!(fb.pending_bytes(), 0);
     }
 
@@ -372,7 +479,7 @@ mod tests {
             let mut fb = FrameBuf::new();
             fb.push(&wire);
             let (kind, payload) = fb.next_frame().unwrap().expect("one frame");
-            assert_eq!(Response::decode(kind, &payload).unwrap(), resp);
+            assert_eq!(Response::decode(kind, payload).unwrap(), resp);
         }
     }
 
@@ -452,11 +559,115 @@ mod tests {
         fb.push(&Request::Ping.encode().unwrap());
         let (kind, payload) = fb.next_frame().unwrap().unwrap();
         assert_eq!(
-            Request::decode(kind, &payload),
+            Request::decode(kind, payload),
             Err(DecodeError::UnknownKind(0x7F))
         );
         // The stream is still in sync: the next frame decodes fine.
         let (kind, payload) = fb.next_frame().unwrap().unwrap();
-        assert_eq!(Request::decode(kind, &payload), Ok(Request::Ping));
+        assert_eq!(Request::decode(kind, payload), Ok(Request::Ping));
+    }
+
+    /// A request or a response, as the property below frames it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Msg {
+        Req(Request),
+        Resp(Response),
+    }
+
+    impl Msg {
+        /// A message of kind `which` (one of all ten) whose text or bytes
+        /// are `len` long, drawn from `seed`.
+        fn new(which: u8, len: usize, seed: u64) -> Msg {
+            let text = || {
+                let printable = (0..len).map(|i| b' ' + ((seed as usize + i) % 95) as u8);
+                String::from_utf8(printable.collect()).expect("ASCII")
+            };
+            let bytes = (0..len).map(|i| (seed as usize + i * 31) as u8);
+            match which {
+                0 => Msg::Req(Request::TextEvents {
+                    sid: seed,
+                    text: text(),
+                }),
+                1 => Msg::Req(Request::BinEvents {
+                    sid: seed,
+                    bytes: bytes.collect(),
+                }),
+                2 => Msg::Req(Request::Query { sid: seed }),
+                3 => Msg::Req(Request::FleetQuery),
+                4 => Msg::Req(Request::EndSession { sid: seed }),
+                5 => Msg::Req(Request::Ping),
+                6 => Msg::Resp(Response::Ok { events: seed }),
+                7 => Msg::Resp(Response::Error { msg: text() }),
+                8 => Msg::Resp(Response::Shed { reason: text() }),
+                _ => Msg::Resp(Response::Json { payload: text() }),
+            }
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            match self {
+                Msg::Req(req) => req.encode().expect("the payload fits a frame"),
+                Msg::Resp(resp) => resp.encode(),
+            }
+        }
+
+        /// Decodes a popped frame as the same side's message.
+        fn decode_as(&self, kind: u8, payload: &[u8]) -> Result<Msg, DecodeError> {
+            match self {
+                Msg::Req(_) => Request::decode(kind, payload).map(Msg::Req),
+                Msg::Resp(_) => Response::decode(kind, payload).map(Msg::Resp),
+            }
+        }
+    }
+
+    /// A length from 0 to `max`, log-uniform, so that single bytes and
+    /// hundreds of KiB both turn up.
+    fn log_len(max: usize) -> impl Strategy<Value = usize> {
+        (0..=usize::BITS - max.leading_zeros())
+            .prop_flat_map(move |bits| 0..=(1usize << bits).min(max))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Frames of every kind, with payloads from 0 B to 200 KiB, encoded
+        /// back to back and pushed in random splits from 1 B to several
+        /// frames: every frame pops out equal and in order, what is pending
+        /// is what was pushed and not popped, and no popped byte survives
+        /// a push.
+        #[test]
+        fn frames_pop_whole_from_any_split_of_the_stream(
+            specs in prop::collection::vec((0u8..10, log_len(200 << 10), any::<u64>()), 1..8),
+            splits in prop::collection::vec(log_len(1 << 20), 1..32),
+        ) {
+            let msgs: Vec<Msg> = specs
+                .iter()
+                .map(|&(which, len, seed)| Msg::new(which, len, seed))
+                .collect();
+            let wire: Vec<u8> = msgs.iter().flat_map(Msg::encode).collect();
+            let mut fb = FrameBuf::new();
+            let (mut pushed, mut popped, mut next) = (0, 0, 0);
+            for &split in splits.iter().cycle() {
+                if pushed == wire.len() {
+                    break;
+                }
+                let n = split.clamp(1, wire.len() - pushed);
+                fb.push(&wire[pushed..pushed + n]);
+                pushed += n;
+                prop_assert!(
+                    fb.buf.len() == fb.pending_bytes(),
+                    "{} popped bytes survived a push",
+                    fb.buf.len() - fb.pending_bytes()
+                );
+                while let Some((kind, payload)) = fb.next_frame().expect("well framed") {
+                    prop_assert!(next < msgs.len(), "more frames popped than pushed");
+                    prop_assert_eq!(msgs[next].decode_as(kind, payload), Ok(msgs[next].clone()));
+                    popped += 5 + payload.len();
+                    next += 1;
+                }
+                prop_assert_eq!(fb.pending_bytes(), pushed - popped);
+            }
+            prop_assert_eq!(next, msgs.len());
+            prop_assert_eq!(fb.pending_bytes(), 0);
+        }
     }
 }

@@ -14,10 +14,13 @@
 //!
 //! # Memory contract
 //!
-//! Accounted bytes per session = fixed overhead + the analyzer's
+//! Accounted bytes per live session = fixed overhead + the analyzer's
 //! capacity-derived [`mem_hint`](StreamingAnalyzer::mem_hint) + the event
 //! log's capacity and the heap its events own, when the session keeps
-//! one. The global ledger is an atomic sum over all live sessions. Ingest
+//! one. A session the table no longer holds live is charged what the
+//! table keeps for it: a spilled session its spill record, a quarantined
+//! one its tombstone, each with the map slot the session left behind.
+//! The global ledger is an atomic sum over all of these. Ingest
 //! enforces, in order:
 //!
 //! 1. **Global budget** — a projected overrun first evicts
@@ -131,20 +134,25 @@ struct Session {
     stamp: u64,
 }
 
+/// What a shard allocates for a map holding one entry of `T`: four
+/// buckets, one control byte each plus a 16-byte group tail.
+const fn one_entry_map<T>() -> usize {
+    4 * std::mem::size_of::<T>() + 4 + 16
+}
+
+/// A session's slot in its shard's maps, charged at what a shard holding
+/// only this session allocates for it: the smallest `live` table (four
+/// buckets of key and box pointer) and a whole `lru` leaf node (eleven
+/// stamp → sid pairs behind a 16-byte header of parent link, index and
+/// length). The slot stays charged while the session is spilled or
+/// quarantined, since a shard keeps a map's buckets, and `lru` its leaf,
+/// after the session leaves them.
+const SESSION_SLOT: usize =
+    one_entry_map::<(u64, Box<Session>)>() + 11 * std::mem::size_of::<(u64, u64)>() + 16;
+
 /// What a live session costs its shard beyond the heap its fields own:
-/// the boxed [`Session`] and its slot in the shard's maps, charged at
-/// what a shard holding only this session allocates for it — the
-/// smallest `live` table (four buckets of key and box pointer, plus
-/// control bytes) and a whole `lru` leaf node (eleven stamp → sid
-/// pairs and a parent link).
-const SESSION_OVERHEAD: usize = std::mem::size_of::<Session>()
-    // Four buckets, one control byte each plus a 16-byte group tail.
-    + 4 * std::mem::size_of::<(u64, Box<Session>)>()
-    + 4
-    + 16
-    // Eleven entries behind a 16-byte header (parent link, index, length).
-    + 11 * std::mem::size_of::<(u64, u64)>()
-    + 16;
+/// the boxed [`Session`] and its [`SESSION_SLOT`].
+const SESSION_OVERHEAD: usize = std::mem::size_of::<Session>() + SESSION_SLOT;
 
 impl Session {
     fn mem_now(&self) -> usize {
@@ -207,6 +215,22 @@ struct SpillRecord {
     meta: SessionMeta,
     events: usize,
 }
+
+impl SpillRecord {
+    /// What the record costs its shard: its slot in `spilled` at a
+    /// one-entry map's footprint, its path's heap, and the
+    /// [`SESSION_SLOT`] its session left behind (charged for a recovered
+    /// record too, which errs high).
+    fn mem(&self) -> usize {
+        SESSION_SLOT + one_entry_map::<(u64, SpillRecord)>() + self.path.capacity()
+    }
+}
+
+/// What a quarantine tombstone costs its shard beyond its reason's heap:
+/// its slot in `quarantined` at a one-entry map's footprint, and the
+/// [`SESSION_SLOT`] its session left behind. Tombstones are never
+/// removed, so neither is their charge.
+const TOMBSTONE_OVERHEAD: usize = SESSION_SLOT + one_entry_map::<(u64, String)>();
 
 #[derive(Default)]
 struct Shard {
@@ -364,15 +388,14 @@ impl SessionTable {
             {
                 continue;
             }
-            shard.spilled.insert(
-                sid,
-                SpillRecord {
-                    path: entry.path(),
-                    degradation: DegradationReport::default(),
-                    meta: SessionMeta::default(),
-                    events: 0,
-                },
-            );
+            let record = SpillRecord {
+                path: entry.path(),
+                degradation: DegradationReport::default(),
+                meta: SessionMeta::default(),
+                events: 0,
+            };
+            self.used.fetch_add(record.mem(), Ordering::Relaxed);
+            shard.spilled.insert(sid, record);
             adopted += 1;
         }
         adopted
@@ -400,18 +423,16 @@ impl SessionTable {
             .expect("sessions of a table with a snapshot dir keep a log");
         match write_snapshot(dir, victim, &session.meta, &log.events) {
             Ok(path) => {
+                let record = SpillRecord {
+                    path,
+                    degradation: session.analyzer.degradation(),
+                    meta: session.meta,
+                    events: session.events,
+                };
+                self.used.fetch_add(record.mem(), Ordering::Relaxed);
                 self.used.fetch_sub(session.mem, Ordering::Relaxed);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                let degradation = session.analyzer.degradation();
-                shard.spilled.insert(
-                    victim,
-                    SpillRecord {
-                        path,
-                        degradation,
-                        meta: session.meta,
-                        events: session.events,
-                    },
-                );
+                shard.spilled.insert(victim, record);
                 EvictOutcome::Evicted
             }
             Err(_) => {
@@ -466,6 +487,7 @@ impl SessionTable {
     /// failure the sid is quarantined and the error returned.
     fn restore_locked(&self, shard: &mut Shard, sid: u64) -> Result<(), SessionError> {
         let record = shard.spilled.remove(&sid).expect("caller checked");
+        self.used.fetch_sub(record.mem(), Ordering::Relaxed);
         if shard.spilled.is_empty() {
             // The last spilled session of the shard is coming back: free
             // the table's buckets rather than keep them, uncharged.
@@ -501,7 +523,10 @@ impl SessionTable {
                 retired.meta.merge(record.meta);
                 retired.events += record.events as u64;
                 drop(retired);
-                shard.quarantined.insert(sid, reason.clone());
+                let tombstone = reason.clone();
+                self.used
+                    .fetch_add(TOMBSTONE_OVERHEAD + tombstone.capacity(), Ordering::Relaxed);
+                shard.quarantined.insert(sid, tombstone);
                 Err(SessionError::Quarantined { reason })
             }
         }
@@ -943,15 +968,25 @@ mod tests {
             .ingest(11, burst(0, 35), SessionMeta::default())
             .unwrap();
         assert_eq!(table.drain(), 2);
-        assert_eq!(table.bytes_used(), 0);
+        // The live charges are gone; the two spill records' stay.
+        let records = |table: &SessionTable| -> usize {
+            let shards = table.shards.iter().map(|s| s.lock().unwrap());
+            shards
+                .map(|s| s.spilled.values().map(SpillRecord::mem).sum::<usize>())
+                .sum()
+        };
+        assert_eq!(table.bytes_used(), records(&table));
 
         // "Restart": a fresh table over the same directory.
         let reborn = SessionTable::new(cfg);
         assert_eq!(reborn.recover(), 2);
+        assert_eq!(reborn.bytes_used(), records(&reborn));
         let (_, _, _, events) = reborn.query(11).unwrap();
         assert_eq!(events, 35);
         let report = reborn.end_session(10).unwrap();
         assert_eq!(report.events, 25);
+        reborn.end_session(11).unwrap();
+        assert_eq!(reborn.bytes_used(), 0, "every charge is released");
         std::fs::remove_dir_all(&dir).ok();
     }
 

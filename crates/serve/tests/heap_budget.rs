@@ -20,7 +20,10 @@
 //! holds, pending reports included, and that a logged session's charge
 //! covers what the whole session holds — the box, the map slot and the
 //! report rows its logged events own included — from the moment it opens
-//! and through an evict → restore.
+//! and through an evict → restore. A spilled or quarantined session is
+//! charged what the table keeps of it, its spill record or tombstone and
+//! the map slot it left, so a third test pins that the charge covers a
+//! table left holding many of them.
 //!
 //! The allocator counts live bytes for the measuring thread only, through
 //! a const-initialised thread-local flag, so tests running in parallel in
@@ -35,7 +38,7 @@ use onoff_campaign::{all_areas, run_location};
 use onoff_detect::{ScoringConfig, StreamingAnalyzer};
 use onoff_policy::PhoneModel;
 use onoff_rrc::trace::TraceEvent;
-use onoff_serve::{ServeConfig, SessionMeta, SessionTable};
+use onoff_serve::{snapshot_path, ServeConfig, SessionError, SessionMeta, SessionTable};
 
 /// Peak live heap allowed for the whole fleet: 1.75 MiB.
 const BUDGET_BYTES: i64 = 7 << 18;
@@ -175,8 +178,10 @@ fn concurrent_sessions_without_snapshot_dir_within_budget() {
 /// session per table in [`FRAME_EVENTS`]-event frames, and the ledger's
 /// charge must cover the live heap once the session opens and after every
 /// frame, the session's log and the report rows its events own included.
-/// Halfway through each trace the session is evicted and a query restores
-/// it from its snapshot; the charge must cover the restored session too.
+/// Halfway through each trace the session is evicted, and the charge must
+/// cover what the table keeps of it (its spill record and the map slots
+/// it left); then a query restores it from its snapshot, and the charge
+/// must cover the restored session too.
 /// Each table starts from zero live bytes right after it is built, before
 /// its session exists, so the session's box and its slot in the shard's
 /// maps, what the session grows to hold (analyzer, log, the heap its
@@ -239,6 +244,12 @@ fn scored_session_mem_hint_covers_its_live_heap() {
         for (f, frame) in trace.chunks(FRAME_EVENTS).enumerate() {
             if f == half {
                 assert!(table.evict(sid), "trace {i}: the session spills");
+                let (live, charge) = (LIVE.with(Cell::get), table.bytes_used());
+                assert!(
+                    live <= charge as i64,
+                    "trace {i}: spilled at frame {f}, the table held {live} B live, \
+                     charged {charge} B"
+                );
                 table.query(sid).expect("the snapshot restores");
                 restores += 1;
                 let (live, charge) = (LIVE.with(Cell::get), table.bytes_used());
@@ -273,4 +284,71 @@ fn scored_session_mem_hint_covers_its_live_heap() {
     );
     assert_eq!(restores, traces.len());
     assert!(frames > 300, "the check must cover a meaningful feed");
+}
+
+/// A table that ends up holding many sessions it no longer holds live:
+/// [`SESSIONS`] scored sessions with a snapshot directory each take a few
+/// frames and are evicted, and then every fourth snapshot is corrupted and
+/// a query quarantines its session. The charge must cover the live heap
+/// after every eviction and every quarantine, when the table holds spill
+/// records and tombstones in its shards and maps whose sessions have all
+/// left. Counting starts right after `SessionTable::new`.
+#[test]
+fn spilled_and_quarantined_sessions_stay_charged() {
+    let traces = traces();
+    let dir = std::env::temp_dir().join(format!("onoff-serve-heap-spilled-{}", std::process::id()));
+    let mut burst: Vec<TraceEvent> = Vec::with_capacity(FRAME_EVENTS);
+    let table = SessionTable::new(ServeConfig {
+        global_budget: 16 << 30,
+        session_budget: 1 << 30,
+        snapshot_dir: Some(dir.clone()),
+        scoring: Some(ScoringConfig::default()),
+        ..ServeConfig::default()
+    });
+    LIVE.with(|l| l.set(0));
+    TRACKING.with(|on| on.set(true));
+    let check = |what: &str, sid: u64| {
+        let (live, charge) = (LIVE.with(Cell::get), table.bytes_used());
+        assert!(
+            live <= charge as i64,
+            "after {what} session {sid}: the table held {live} B live, charged {charge} B"
+        );
+    };
+    for sid in 0..SESSIONS as u64 {
+        let trace = &traces[sid as usize % traces.len()];
+        for frame in trace.chunks(FRAME_EVENTS).take(4) {
+            burst.extend_from_slice(frame);
+            table
+                .ingest_drain(sid, &mut burst, SessionMeta::default())
+                .expect("wide-open budget never sheds");
+        }
+        assert!(table.evict(sid), "session {sid} spills");
+        check("evicting", sid);
+    }
+    for sid in (0..SESSIONS as u64).step_by(4) {
+        let path = snapshot_path(&dir, sid);
+        let mut bytes = std::fs::read(&path).expect("the snapshot exists");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&path, &bytes).expect("the snapshot rewrites");
+        drop((path, bytes));
+        assert!(
+            matches!(table.query(sid), Err(SessionError::Quarantined { .. })),
+            "session {sid} quarantines"
+        );
+        check("quarantining", sid);
+    }
+    TRACKING.with(|on| on.set(false));
+    let stats = table.stats();
+    assert_eq!(stats.live, 0);
+    assert_eq!(stats.quarantined, SESSIONS / 4);
+    assert_eq!(stats.spilled, SESSIONS - SESSIONS / 4);
+    eprintln!(
+        "{} spilled and {} quarantined sessions hold {} B live, charged {} B",
+        stats.spilled,
+        stats.quarantined,
+        LIVE.with(Cell::get),
+        table.bytes_used()
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
