@@ -119,13 +119,12 @@ impl ServeEngine {
 
     /// The live fleet metrics document.
     pub fn metrics(&self) -> FleetMetrics {
-        FleetMetrics::compose(
-            self.table.stats(),
-            self.table.config().global_budget,
-            self.frames.load(Ordering::Relaxed),
-            self.frame_errors.load(Ordering::Relaxed),
-            self.sheds.load(Ordering::Relaxed),
-        )
+        FleetMetrics {
+            frames: self.frames.load(Ordering::Relaxed),
+            frame_errors: self.frame_errors.load(Ordering::Relaxed),
+            sheds: self.sheds.load(Ordering::Relaxed),
+            ..self.table.stats()
+        }
     }
 
     /// Maps an owned request to its response: [`handle_view`] on its

@@ -41,7 +41,7 @@ pub use daemon::{Daemon, DaemonConfig, FrameLoop};
 pub use engine::{ServeEngine, SessionReport};
 pub use metrics::FleetMetrics;
 pub use protocol::{DecodeError, FrameBuf, FrameError, Request, RequestView, Response};
-pub use session::{FinalReport, ServeConfig, SessionError, SessionTable, TableStats};
+pub use session::{FinalReport, ServeConfig, SessionError, SessionTable};
 pub use snapshot::{
     read_snapshot, snapshot_path, write_snapshot, SessionMeta, Snapshot, SnapshotError,
 };

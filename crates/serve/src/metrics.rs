@@ -3,7 +3,6 @@
 use onoff_detect::DegradationReport;
 use serde::{Deserialize, Serialize};
 
-use crate::session::TableStats;
 use crate::snapshot::SessionMeta;
 
 /// A point-in-time snapshot of the whole fleet, answered (as JSON) to
@@ -43,32 +42,4 @@ pub struct FleetMetrics {
     pub degradation: DegradationReport,
     /// Aggregate text-parse counters across the fleet.
     pub parse: SessionMeta,
-}
-
-impl FleetMetrics {
-    /// Builds the fleet view from table gauges plus engine counters.
-    pub(crate) fn compose(
-        stats: TableStats,
-        budget_bytes: usize,
-        frames: u64,
-        frame_errors: u64,
-        sheds: u64,
-    ) -> FleetMetrics {
-        FleetMetrics {
-            sessions_live: stats.live,
-            sessions_spilled: stats.spilled,
-            sessions_quarantined: stats.quarantined,
-            sessions_ended: stats.ended,
-            events_total: stats.events,
-            bytes_used: stats.bytes_used,
-            budget_bytes,
-            evictions: stats.evictions,
-            restores: stats.restores,
-            frames,
-            frame_errors,
-            sheds,
-            degradation: stats.degradation,
-            parse: stats.parse,
-        }
-    }
 }

@@ -14,14 +14,23 @@
 //!
 //! # Memory contract
 //!
-//! Accounted bytes per live session = fixed overhead + the analyzer's
-//! capacity-derived [`mem_hint`](StreamingAnalyzer::mem_hint) + the event
-//! log's capacity and the heap its events own, when the session keeps
-//! one. A session the table no longer holds live is charged what the
-//! table keeps for it: a spilled session its spill record, a quarantined
-//! one its tombstone, each with the map slot the session left behind.
-//! The global ledger is an atomic sum over all of these. Ingest
-//! enforces, in order:
+//! Each shard keeps one map from sid to slot beside its LRU: a slot holds
+//! a live session, a spilled session's record or a quarantined session's
+//! tombstone. Evict, restore and quarantine replace a sid's slot in
+//! place, so the map changes size only when a session is created, adopted
+//! by [`recover`](SessionTable::recover) or ended. The global ledger is an
+//! atomic sum of two kinds of charge:
+//!
+//! - each slot, for what it holds: a live session its box, its analyzer's
+//!   capacity-derived [`mem_hint`](StreamingAnalyzer::mem_hint) and, when
+//!   it keeps one, its event log's capacity and the heap its events own;
+//!   a spill record its box and its snapshot path; a tombstone its
+//!   reason;
+//! - each shard, for what its two maps allocate, recomputed after every
+//!   change to them. The maps never shrink, so the buckets ended sessions
+//!   leave stay charged.
+//!
+//! Ingest enforces, in order:
 //!
 //! 1. **Global budget** — a projected overrun first evicts
 //!    least-recently-used sessions (other than the target) to snapshots;
@@ -40,9 +49,9 @@
 //!    operation.
 //!
 //! A failed spill (snapshot directory unwritable, disk full) is treated
-//! as *unevictable*: the victim is restored live — never lost — and the
-//! in-flight operation sheds instead of retrying, so a broken spill path
-//! degrades into backpressure rather than a busy loop.
+//! as *unevictable*: the victim stays live in its slot — never lost — and
+//! the in-flight operation sheds instead of retrying, so a broken spill
+//! path degrades into backpressure rather than a busy loop.
 //!
 //! A snapshot that fails verification on restore **quarantines** the
 //! session: the sid becomes a tombstone answering every request with an
@@ -62,6 +71,7 @@ use onoff_detect::{
 };
 use onoff_rrc::trace::TraceEvent;
 
+use crate::metrics::FleetMetrics;
 use crate::snapshot::{read_snapshot, snapshot_path, write_snapshot, SessionMeta};
 
 /// Everything the engine and table need to know about limits and layout.
@@ -134,29 +144,10 @@ struct Session {
     stamp: u64,
 }
 
-/// What a shard allocates for a map holding one entry of `T`: four
-/// buckets, one control byte each plus a 16-byte group tail.
-const fn one_entry_map<T>() -> usize {
-    4 * std::mem::size_of::<T>() + 4 + 16
-}
-
-/// A session's slot in its shard's maps, charged at what a shard holding
-/// only this session allocates for it: the smallest `live` table (four
-/// buckets of key and box pointer) and a whole `lru` leaf node (eleven
-/// stamp → sid pairs behind a 16-byte header of parent link, index and
-/// length). The slot stays charged while the session is spilled or
-/// quarantined, since a shard keeps a map's buckets, and `lru` its leaf,
-/// after the session leaves them.
-const SESSION_SLOT: usize =
-    one_entry_map::<(u64, Box<Session>)>() + 11 * std::mem::size_of::<(u64, u64)>() + 16;
-
-/// What a live session costs its shard beyond the heap its fields own:
-/// the boxed [`Session`] and its [`SESSION_SLOT`].
-const SESSION_OVERHEAD: usize = std::mem::size_of::<Session>() + SESSION_SLOT;
-
 impl Session {
+    /// Its box, its analyzer's `mem_hint` and its log.
     fn mem_now(&self) -> usize {
-        SESSION_OVERHEAD + self.analyzer.mem_hint() + self.log.as_ref().map_or(0, EventLog::mem)
+        size_of::<Session>() + self.analyzer.mem_hint() + self.log.as_ref().map_or(0, EventLog::mem)
     }
 }
 
@@ -191,21 +182,8 @@ impl EventLog {
 
     /// Bytes the log holds: its buffer's capacity and its events' heap.
     fn mem(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<TraceEvent>() + self.owned
+        self.events.capacity() * size_of::<TraceEvent>() + self.owned
     }
-}
-
-/// What one eviction attempt did.
-enum EvictOutcome {
-    /// A victim was spilled and its accounted bytes freed.
-    Evicted,
-    /// Nothing evictable: no snapshot dir, an empty LRU, or only exempt
-    /// sessions in this shard.
-    NoVictim,
-    /// A victim exists but its snapshot write failed; it was restored
-    /// live (never lost). Eviction cannot currently make progress, so
-    /// the caller must shed rather than retry.
-    SpillFailed,
 }
 
 /// Fleet-metrics residue of a spilled session.
@@ -216,31 +194,78 @@ struct SpillRecord {
     events: usize,
 }
 
-impl SpillRecord {
-    /// What the record costs its shard: its slot in `spilled` at a
-    /// one-entry map's footprint, its path's heap, and the
-    /// [`SESSION_SLOT`] its session left behind (charged for a recovered
-    /// record too, which errs high).
+/// What a shard holds for a sid. Every variant is a thin box, so a map
+/// entry is a key, a tag and a pointer.
+enum Slot {
+    Live(Box<Session>),
+    Spilled(Box<SpillRecord>),
+    /// A tombstone: the snapshot's verification failure. Boxed like the
+    /// others, since an inline `String` or `Box<str>` would widen every
+    /// entry from 24 B to 32 B.
+    #[allow(clippy::box_collection)]
+    Quarantined(Box<String>),
+}
+
+impl Slot {
+    /// What the slot holds: the session box (its analyzer and log
+    /// included, as last settled), the record box and its path, or the
+    /// tombstone's reason.
     fn mem(&self) -> usize {
-        SESSION_SLOT + one_entry_map::<(u64, SpillRecord)>() + self.path.capacity()
+        match self {
+            Slot::Live(session) => session.mem,
+            Slot::Spilled(record) => size_of::<SpillRecord>() + record.path.capacity(),
+            Slot::Quarantined(reason) => size_of::<String>() + reason.capacity(),
+        }
     }
 }
 
-/// What a quarantine tombstone costs its shard beyond its reason's heap:
-/// its slot in `quarantined` at a one-entry map's footprint, and the
-/// [`SESSION_SLOT`] its session left behind. Tombstones are never
-/// removed, so neither is their charge.
-const TOMBSTONE_OVERHEAD: usize = SESSION_SLOT + one_entry_map::<(u64, String)>();
+/// Bytes of a `BTreeMap<u64, u64>` leaf: parent link, index and length,
+/// then eleven keys and eleven values.
+const LRU_LEAF: usize = 16 + 22 * size_of::<u64>();
+
+/// What an internal `BTreeMap<u64, u64>` node adds to a leaf: twelve
+/// child links.
+const LRU_EDGES: usize = 12 * size_of::<usize>();
 
 #[derive(Default)]
 struct Shard {
-    /// Boxed, so the table's spare buckets cost a pointer each, not a
-    /// whole session.
-    live: HashMap<u64, Box<Session>>,
-    /// stamp → sid; stamps are unique (global atomic clock).
+    slots: HashMap<u64, Slot>,
+    /// stamp → sid of every live session; stamps are unique (global
+    /// atomic clock).
     lru: BTreeMap<u64, u64>,
-    spilled: HashMap<u64, SpillRecord>,
-    quarantined: HashMap<u64, String>,
+    /// The most buckets `slots` has been seen to allocate.
+    buckets: usize,
+    /// What the two maps are charged for.
+    maps: usize,
+}
+
+impl Shard {
+    /// What `slots` and `lru` allocate. The slot table holds a power of
+    /// two of buckets, each an entry and a control byte, plus a 16-byte
+    /// group tail; its bucket count is the fewest that hold
+    /// `slots.capacity()`, a lower bound that tombstones left by removals
+    /// lower, and since the table never shrinks its high-water is kept.
+    /// `lru` keeps its root leaf once allocated (charged with the table,
+    /// which errs high for a shard holding only recovered records), and
+    /// every other node holds at least five pairs, at most half of them
+    /// internal.
+    fn footprint(&mut self) -> usize {
+        let capacity = self.slots.capacity();
+        let fewest = match capacity {
+            0 => 0,
+            1..=7 => (capacity + 1).next_power_of_two().max(4),
+            _ => (capacity * 8).div_ceil(7).next_power_of_two(),
+        };
+        self.buckets = self.buckets.max(fewest);
+        if self.buckets == 0 {
+            return 0;
+        }
+        let nodes = 1 + self.lru.len() / 5;
+        self.buckets * (size_of::<(u64, Slot)>() + 1)
+            + 16
+            + nodes * LRU_LEAF
+            + nodes / 2 * LRU_EDGES
+    }
 }
 
 /// Totals carried by sessions that no longer exist (ended or
@@ -251,31 +276,6 @@ struct Retired {
     meta: SessionMeta,
     events: u64,
     sessions_ended: u64,
-}
-
-/// Raw fleet-wide gauges and counters collected by [`SessionTable::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TableStats {
-    /// Sessions resident in memory.
-    pub live: usize,
-    /// Sessions currently spilled to snapshots.
-    pub spilled: usize,
-    /// Tombstoned sessions.
-    pub quarantined: usize,
-    /// Sessions finalized via end-session.
-    pub ended: u64,
-    /// Events fed across all sessions, ever.
-    pub events: u64,
-    /// Accounted bytes right now.
-    pub bytes_used: usize,
-    /// Evictions performed.
-    pub evictions: u64,
-    /// Restores performed.
-    pub restores: u64,
-    /// Aggregate analyzer degradation (live + spilled + retired).
-    pub degradation: DegradationReport,
-    /// Aggregate text-parse counters (live + spilled + retired).
-    pub parse: SessionMeta,
 }
 
 /// The final word on a session, produced by
@@ -339,6 +339,44 @@ impl SessionTable {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Moves the ledger from `charged` to `now` and records `now`.
+    fn recharge(&self, charged: &mut usize, now: usize) {
+        if now >= *charged {
+            self.used.fetch_add(now - *charged, Ordering::Relaxed);
+        } else {
+            self.used.fetch_sub(*charged - now, Ordering::Relaxed);
+        }
+        *charged = now;
+    }
+
+    /// Puts `slot` in `sid`'s place (replacing its slot in place when it
+    /// has one), or clears the place with `None`, and returns what it
+    /// held. The one way a shard's maps change size (a touch only
+    /// re-stamps a session's `lru` pair): a live session's stamp enters
+    /// or leaves `lru` with it, the ledger moves from the old slot's
+    /// charge to the new one's, and the maps are re-charged.
+    fn set_slot(&self, shard: &mut Shard, sid: u64, slot: Option<Slot>) -> Option<Slot> {
+        let old = match slot {
+            Some(slot) => {
+                if let Slot::Live(session) = &slot {
+                    shard.lru.insert(session.stamp, sid);
+                }
+                self.used.fetch_add(slot.mem(), Ordering::Relaxed);
+                shard.slots.insert(sid, slot)
+            }
+            None => shard.slots.remove(&sid),
+        };
+        if let Some(old) = &old {
+            if let Slot::Live(session) = old {
+                shard.lru.remove(&session.stamp);
+            }
+            self.used.fetch_sub(old.mem(), Ordering::Relaxed);
+        }
+        let now = shard.footprint();
+        self.recharge(&mut shard.maps, now);
+        old
+    }
+
     fn new_session(&self, stamp: u64) -> Box<Session> {
         let mut analyzer = StreamingAnalyzer::new();
         if let Some(sc) = &self.cfg.scoring {
@@ -382,10 +420,7 @@ impl SessionTable {
                 continue;
             };
             let mut shard = self.shard_of(sid).lock().expect("shard lock");
-            if shard.live.contains_key(&sid)
-                || shard.spilled.contains_key(&sid)
-                || shard.quarantined.contains_key(&sid)
-            {
+            if shard.slots.contains_key(&sid) {
                 continue;
             }
             let record = SpillRecord {
@@ -394,53 +429,38 @@ impl SessionTable {
                 meta: SessionMeta::default(),
                 events: 0,
             };
-            self.used.fetch_add(record.mem(), Ordering::Relaxed);
-            shard.spilled.insert(sid, record);
+            self.set_slot(&mut shard, sid, Some(Slot::Spilled(Box::new(record))));
             adopted += 1;
         }
         adopted
     }
 
-    /// Spills one session out of `shard` (its LRU victim, skipping
-    /// `exempt`).
-    fn evict_one_locked(&self, shard: &mut Shard, exempt: Option<u64>) -> EvictOutcome {
-        let Some(dir) = self.cfg.snapshot_dir.as_ref() else {
-            return EvictOutcome::NoVictim;
-        };
-        let Some(victim) = shard
-            .lru
-            .iter()
-            .map(|(_, &sid)| sid)
-            .find(|&sid| Some(sid) != exempt)
+    /// Spills the live session `sid` of `shard` to its snapshot, in its
+    /// slot. False if it is not live, the table has no snapshot
+    /// directory, or the write failed; the session then stays live,
+    /// never lost.
+    fn spill_locked(&self, shard: &mut Shard, sid: u64) -> bool {
+        let (Some(dir), Some(Slot::Live(session))) =
+            (&self.cfg.snapshot_dir, shard.slots.get_mut(&sid))
         else {
-            return EvictOutcome::NoVictim;
+            return false;
         };
-        let mut session = shard.live.remove(&victim).expect("lru tracks live");
-        shard.lru.remove(&session.stamp);
         let log = session
             .log
             .as_ref()
             .expect("sessions of a table with a snapshot dir keep a log");
-        match write_snapshot(dir, victim, &session.meta, &log.events) {
-            Ok(path) => {
-                let record = SpillRecord {
-                    path,
-                    degradation: session.analyzer.degradation(),
-                    meta: session.meta,
-                    events: session.events,
-                };
-                self.used.fetch_add(record.mem(), Ordering::Relaxed);
-                self.used.fetch_sub(session.mem, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                shard.spilled.insert(victim, record);
-                EvictOutcome::Evicted
-            }
-            Err(_) => {
-                shard.lru.insert(session.stamp, victim);
-                shard.live.insert(victim, session);
-                EvictOutcome::SpillFailed
-            }
-        }
+        let Ok(path) = write_snapshot(dir, sid, &session.meta, &log.events) else {
+            return false;
+        };
+        let record = SpillRecord {
+            path,
+            degradation: session.analyzer.degradation(),
+            meta: session.meta,
+            events: session.events,
+        };
+        self.set_slot(shard, sid, Some(Slot::Spilled(Box::new(record))));
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Evicts least-recently-used sessions (never `exempt`) until the
@@ -450,6 +470,13 @@ impl SessionTable {
         if self.cfg.snapshot_dir.is_none() {
             return self.used.load(Ordering::Relaxed) + need <= self.cfg.global_budget;
         }
+        let victim = |shard: &Shard| {
+            shard
+                .lru
+                .iter()
+                .find(|(_, &sid)| Some(sid) != exempt)
+                .map(|(&stamp, &sid)| (stamp, sid))
+        };
         loop {
             if self.used.load(Ordering::Relaxed) + need <= self.cfg.global_budget {
                 return true;
@@ -458,8 +485,7 @@ impl SessionTable {
             // first non-exempt entry, then evict from the oldest shard.
             let mut oldest: Option<(u64, usize)> = None;
             for (i, shard) in self.shards.iter().enumerate() {
-                let shard = shard.lock().expect("shard lock");
-                if let Some((&stamp, _)) = shard.lru.iter().find(|(_, &sid)| Some(sid) != exempt) {
+                if let Some((stamp, _)) = victim(&shard.lock().expect("shard lock")) {
                     if oldest.is_none_or(|(s, _)| stamp < s) {
                         oldest = Some((stamp, i));
                     }
@@ -470,33 +496,33 @@ impl SessionTable {
             };
             let mut shard = self.shards[idx].lock().expect("shard lock");
             // The victim may have moved between the peek and this lock;
-            // evicting whatever is oldest *now* is just as correct.
-            match self.evict_one_locked(&mut shard, exempt) {
-                EvictOutcome::Evicted => {}
-                // Raced away between the peek and the lock; rescan.
-                EvictOutcome::NoVictim => {}
-                // The spill path is broken (disk full, dir unwritable).
-                // Every retry would fail the same way — shed instead of
-                // spinning the worker at 100% CPU.
-                EvictOutcome::SpillFailed => return false,
+            // evicting whatever is oldest *now* is just as correct, and
+            // if nothing is left, rescan.
+            let Some((_, sid)) = victim(&shard) else {
+                continue;
+            };
+            // A failed spill means the spill path is broken (disk full,
+            // dir unwritable). Every retry would fail the same way — shed
+            // instead of spinning the worker at 100% CPU.
+            if !self.spill_locked(&mut shard, sid) {
+                return false;
             }
         }
     }
 
-    /// Restores `sid` from its snapshot into `shard`. On verification
-    /// failure the sid is quarantined and the error returned.
+    /// Restores the spilled `sid` of `shard` from its snapshot, in its
+    /// slot. On verification failure the slot becomes a tombstone and the
+    /// error is returned.
     fn restore_locked(&self, shard: &mut Shard, sid: u64) -> Result<(), SessionError> {
-        let record = shard.spilled.remove(&sid).expect("caller checked");
-        self.used.fetch_sub(record.mem(), Ordering::Relaxed);
-        if shard.spilled.is_empty() {
-            // The last spilled session of the shard is coming back: free
-            // the table's buckets rather than keep them, uncharged.
-            shard.spilled.shrink_to_fit();
-        }
+        let Some(Slot::Spilled(record)) = shard.slots.get(&sid) else {
+            unreachable!("the caller found sid spilled");
+        };
         match read_snapshot(&record.path) {
             Ok(snap) => {
-                let stamp = self.stamp();
-                let mut session = self.new_session(stamp);
+                // The snapshot is consumed; eviction or drain rewrites it
+                // from the (identical) replayed log if needed again.
+                std::fs::remove_file(&record.path).ok();
+                let mut session = self.new_session(self.stamp());
                 session.meta = snap.meta;
                 session.events = snap.events.len();
                 for ev in &snap.events {
@@ -504,13 +530,8 @@ impl SessionTable {
                 }
                 session.log = Some(EventLog::new(snap.events));
                 session.mem = session.mem_now();
-                self.used.fetch_add(session.mem, Ordering::Relaxed);
                 self.restores.fetch_add(1, Ordering::Relaxed);
-                shard.lru.insert(stamp, sid);
-                shard.live.insert(sid, session);
-                // The snapshot is consumed; eviction or drain rewrites it
-                // from the (identical) replayed log if needed again.
-                std::fs::remove_file(&record.path).ok();
+                self.set_slot(shard, sid, Some(Slot::Live(session)));
                 Ok(())
             }
             Err(e) => {
@@ -523,12 +544,28 @@ impl SessionTable {
                 retired.meta.merge(record.meta);
                 retired.events += record.events as u64;
                 drop(retired);
-                let tombstone = reason.clone();
-                self.used
-                    .fetch_add(TOMBSTONE_OVERHEAD + tombstone.capacity(), Ordering::Relaxed);
-                shard.quarantined.insert(sid, tombstone);
+                let tombstone = Slot::Quarantined(Box::new(reason.clone()));
+                self.set_slot(shard, sid, Some(tombstone));
                 Err(SessionError::Quarantined { reason })
             }
+        }
+    }
+
+    /// Makes `sid` live in `shard`: restores it if spilled, creates it if
+    /// unknown and `create` is set. True if it was created.
+    fn make_live(&self, shard: &mut Shard, sid: u64, create: bool) -> Result<bool, SessionError> {
+        match shard.slots.get(&sid) {
+            Some(Slot::Live(_)) => Ok(false),
+            Some(Slot::Spilled(_)) => self.restore_locked(shard, sid).map(|()| false),
+            Some(Slot::Quarantined(reason)) => Err(SessionError::Quarantined {
+                reason: reason.to_string(),
+            }),
+            None if create => {
+                let session = self.new_session(self.stamp());
+                self.set_slot(shard, sid, Some(Slot::Live(session)));
+                Ok(true)
+            }
+            None => Err(SessionError::Unknown),
         }
     }
 
@@ -545,26 +582,10 @@ impl SessionTable {
     ) -> Result<R, SessionError> {
         let mut guard = self.shard_of(sid).lock().expect("shard lock");
         let shard = &mut *guard;
-        if let Some(reason) = shard.quarantined.get(&sid) {
-            return Err(SessionError::Quarantined {
-                reason: reason.clone(),
-            });
-        }
-        let mut created = false;
-        if shard.spilled.contains_key(&sid) {
-            self.restore_locked(shard, sid)?;
-        } else if !shard.live.contains_key(&sid) {
-            if !create {
-                return Err(SessionError::Unknown);
-            }
-            let stamp = self.stamp();
-            let session = self.new_session(stamp);
-            self.used.fetch_add(session.mem, Ordering::Relaxed);
-            shard.lru.insert(stamp, sid);
-            shard.live.insert(sid, session);
-            created = true;
-        }
-        let session = shard.live.get_mut(&sid).expect("ensured above");
+        let created = self.make_live(shard, sid, create)?;
+        let Some(Slot::Live(session)) = shard.slots.get_mut(&sid) else {
+            unreachable!("make_live left sid live");
+        };
         // Touch LRU.
         shard.lru.remove(&session.stamp);
         session.stamp = self.stamp();
@@ -572,20 +593,12 @@ impl SessionTable {
         let out = f(session);
         if out.is_err() && created {
             // Nothing was applied; do not leave an empty session behind.
-            let session = shard.live.remove(&sid).expect("created above");
-            shard.lru.remove(&session.stamp);
-            self.used.fetch_sub(session.mem, Ordering::Relaxed);
+            self.set_slot(shard, sid, None);
             return out;
         }
         // Settle the ledger against actual post-op capacities.
-        let session = shard.live.get_mut(&sid).expect("still live");
         let now = session.mem_now();
-        if now >= session.mem {
-            self.used.fetch_add(now - session.mem, Ordering::Relaxed);
-        } else {
-            self.used.fetch_sub(session.mem - now, Ordering::Relaxed);
-        }
-        session.mem = now;
+        self.recharge(&mut session.mem, now);
         out
     }
 
@@ -680,19 +693,13 @@ impl SessionTable {
     /// Finalizes session `sid`: removes it and returns its full report.
     /// Its degradation and parse counters fold into the retired totals.
     pub fn end_session(&self, sid: u64) -> Result<FinalReport, SessionError> {
-        // Restore first (if spilled) via the common path, then take it.
-        self.with_session(sid, false, |_| Ok(()))?;
         let mut guard = self.shard_of(sid).lock().expect("shard lock");
         let shard = &mut *guard;
-        let Some(session) = shard.live.remove(&sid) else {
-            // Spilled again between the two locks by a racing make_room;
-            // loop back through the restore path.
-            drop(guard);
-            return self.end_session(sid);
+        self.make_live(shard, sid, false)?;
+        let Some(Slot::Live(session)) = self.set_slot(shard, sid, None) else {
+            unreachable!("make_live left sid live");
         };
-        shard.lru.remove(&session.stamp);
         drop(guard);
-        self.used.fetch_sub(session.mem, Ordering::Relaxed);
         let events = session.events;
         let meta = session.meta;
         let mut analyzer = session.analyzer;
@@ -722,82 +729,63 @@ impl SessionTable {
     /// Test/ops hook: spills `sid` to its snapshot right now. True if the
     /// session was live and is now spilled.
     pub fn evict(&self, sid: u64) -> bool {
-        if self.cfg.snapshot_dir.is_none() {
-            return false;
-        }
-        let mut guard = self.shard_of(sid).lock().expect("shard lock");
-        let shard = &mut *guard;
-        let Some(session) = shard.live.get(&sid) else {
-            return false;
-        };
-        // Narrow the LRU to the target so the shared eviction body picks
-        // exactly it, then restore the other entries.
-        let stamp = session.stamp;
-        let rest: Vec<(u64, u64)> = shard
-            .lru
-            .iter()
-            .filter(|(_, &s)| s != sid)
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        shard.lru.retain(|_, &mut s| s == sid);
-        let ok = matches!(self.evict_one_locked(shard, None), EvictOutcome::Evicted);
-        for (k, v) in rest {
-            shard.lru.insert(k, v);
-        }
-        if !ok {
-            shard.lru.insert(stamp, sid);
-        }
-        ok
+        let mut shard = self.shard_of(sid).lock().expect("shard lock");
+        self.spill_locked(&mut shard, sid)
     }
 
     /// Graceful drain: spills every live session to snapshots so a
     /// restarted daemon can [`recover`](SessionTable::recover) them.
     /// Returns how many sessions were spilled.
     pub fn drain(&self) -> usize {
-        if self.cfg.snapshot_dir.is_none() {
-            return 0;
-        }
         let mut spilled = 0;
         for shard in &self.shards {
             let mut shard = shard.lock().expect("shard lock");
-            while matches!(
-                self.evict_one_locked(&mut shard, None),
-                EvictOutcome::Evicted
-            ) {
+            while let Some(&sid) = shard.lru.values().next() {
+                if !self.spill_locked(&mut shard, sid) {
+                    break;
+                }
                 spilled += 1;
             }
         }
         spilled
     }
 
-    /// Fleet-wide gauges and counters. Walks every shard (one lock at a
+    /// The table's half of the fleet metrics: session gauges and counters,
+    /// the ledger against its budget, and degradation and parse totals
+    /// over live, spilled and retired sessions. The engine's frame
+    /// counters read 0. Walks every shard's slots once (one lock at a
     /// time), so it is consistent per shard, not globally atomic.
-    pub fn stats(&self) -> TableStats {
-        let mut out = TableStats {
-            events: self.events.load(Ordering::Relaxed),
+    pub fn stats(&self) -> FleetMetrics {
+        let mut out = FleetMetrics {
+            events_total: self.events.load(Ordering::Relaxed),
             bytes_used: self.used.load(Ordering::Relaxed),
+            budget_bytes: self.cfg.global_budget,
             evictions: self.evictions.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
-            ..TableStats::default()
+            ..FleetMetrics::default()
         };
         for shard in &self.shards {
             let mut shard = shard.lock().expect("shard lock");
-            out.live += shard.live.len();
-            out.spilled += shard.spilled.len();
-            out.quarantined += shard.quarantined.len();
-            for session in shard.live.values_mut() {
-                out.degradation.merge(session.analyzer.degradation());
-                out.parse.merge(session.meta);
-            }
-            for record in shard.spilled.values() {
-                out.degradation.merge(record.degradation);
-                out.parse.merge(record.meta);
+            for slot in shard.slots.values_mut() {
+                match slot {
+                    Slot::Live(session) => {
+                        out.sessions_live += 1;
+                        out.degradation.merge(session.analyzer.degradation());
+                        out.parse.merge(session.meta);
+                    }
+                    Slot::Spilled(record) => {
+                        out.sessions_spilled += 1;
+                        out.degradation.merge(record.degradation);
+                        out.parse.merge(record.meta);
+                    }
+                    Slot::Quarantined(_) => out.sessions_quarantined += 1,
+                }
             }
         }
         let retired = self.retired.lock().expect("retired lock");
         out.degradation.merge(retired.degradation);
         out.parse.merge(retired.meta);
-        out.ended = retired.sessions_ended;
+        out.sessions_ended = retired.sessions_ended;
         out
     }
 }
@@ -837,8 +825,8 @@ mod tests {
         assert!(analysis.degradation.is_clean());
         let report = table.end_session(1).unwrap();
         assert_eq!(report.events, 50);
-        assert_eq!(table.stats().live, 0);
-        assert_eq!(table.stats().ended, 1);
+        assert_eq!(table.stats().sessions_live, 0);
+        assert_eq!(table.stats().sessions_ended, 1);
         assert_eq!(table.query(1).unwrap_err(), SessionError::Unknown);
     }
 
@@ -858,7 +846,7 @@ mod tests {
                 .ingest(9, b.clone(), SessionMeta::default())
                 .unwrap();
             assert!(table.evict(9), "explicit evict must succeed");
-            assert_eq!(table.stats().live, 0);
+            assert_eq!(table.stats().sessions_live, 0);
         }
         let a = table.end_session(9).unwrap();
         let b = reference.end_session(9).unwrap();
@@ -910,7 +898,7 @@ mod tests {
         }
         let stats = table.stats();
         assert!(stats.evictions > 0, "pressure must evict: {stats:?}");
-        assert_eq!(stats.live + stats.spilled, 32);
+        assert_eq!(stats.sessions_live + stats.sessions_spilled, 32);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -949,7 +937,7 @@ mod tests {
         // The tombstone persists for every later request.
         let err = table.ingest(4, burst(0, 1), SessionMeta::default());
         assert!(matches!(err, Err(SessionError::Quarantined { .. })));
-        assert_eq!(table.stats().quarantined, 1);
+        assert_eq!(table.stats().sessions_quarantined, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -968,25 +956,35 @@ mod tests {
             .ingest(11, burst(0, 35), SessionMeta::default())
             .unwrap();
         assert_eq!(table.drain(), 2);
-        // The live charges are gone; the two spill records' stay.
-        let records = |table: &SessionTable| -> usize {
+        // Recounted from the shards: what their slots hold, and what
+        // their maps allocate.
+        let slots = |table: &SessionTable| -> usize {
             let shards = table.shards.iter().map(|s| s.lock().unwrap());
             shards
-                .map(|s| s.spilled.values().map(SpillRecord::mem).sum::<usize>())
+                .map(|s| s.slots.values().map(Slot::mem).sum::<usize>())
                 .sum()
         };
-        assert_eq!(table.bytes_used(), records(&table));
+        let maps = |table: &SessionTable| -> usize {
+            let shards = table.shards.iter().map(|s| s.lock().unwrap());
+            shards.map(|mut s| s.footprint()).sum()
+        };
+        // The live charges are gone; the two spill records' stay.
+        assert_eq!(table.bytes_used(), slots(&table) + maps(&table));
 
         // "Restart": a fresh table over the same directory.
         let reborn = SessionTable::new(cfg);
         assert_eq!(reborn.recover(), 2);
-        assert_eq!(reborn.bytes_used(), records(&reborn));
+        assert_eq!(reborn.bytes_used(), slots(&reborn) + maps(&reborn));
         let (_, _, _, events) = reborn.query(11).unwrap();
         assert_eq!(events, 35);
         let report = reborn.end_session(10).unwrap();
         assert_eq!(report.events, 25);
         reborn.end_session(11).unwrap();
-        assert_eq!(reborn.bytes_used(), 0, "every charge is released");
+        // Every slot's charge is released; the buckets the two sessions
+        // left in their shards' maps stay charged.
+        assert_eq!(slots(&reborn), 0);
+        assert!(maps(&reborn) > 0);
+        assert_eq!(reborn.bytes_used(), maps(&reborn));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1018,7 +1016,10 @@ mod tests {
         assert!(shed, "a broken spill path must shed, not spin");
         let stats = table.stats();
         assert_eq!(stats.evictions, 0, "no eviction can have succeeded");
-        assert!(stats.live > 0, "failed victims stay live, never lost");
+        assert!(
+            stats.sessions_live > 0,
+            "failed victims stay live, never lost"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1049,7 +1050,10 @@ mod tests {
         table.query(3).unwrap();
         let mem = {
             let shard = table.shard_of(3).lock().unwrap();
-            shard.live.get(&3).expect("query restored it").mem
+            let Some(Slot::Live(session)) = shard.slots.get(&3) else {
+                panic!("query restored it");
+            };
+            session.mem
         };
         let overflow = (32 * 1024 - mem) / std::mem::size_of::<TraceEvent>() + 1;
         let err = table.ingest(3, burst(base, overflow as u64), SessionMeta::default());
@@ -1122,7 +1126,7 @@ mod tests {
         let stats = table.stats();
         assert_eq!(stats.parse.skipped, 2);
         assert_eq!(stats.degradation, a2.degradation);
-        assert_eq!(stats.events, 14);
+        assert_eq!(stats.events_total, 14);
     }
 
     #[test]

@@ -6,24 +6,27 @@
 //! (DESIGN.md §15). This test pins that: 64 concurrent sessions, scoring
 //! on, each fed one simulated five-minute trace in 64-event
 //! `ingest_drain` frames round-robin, must peak within [`BUDGET_BYTES`]
-//! of live heap. It reads 1,550,324 B with each analyzer keeping its
+//! of live heap. It reads 1,550,708 B with each analyzer keeping its
 //! throughput as bare values per timeline interval and each session boxed
-//! out of its shard's map; keeping a timestamp with every value and the
+//! out of its shard's slot map; keeping a timestamp with every value and the
 //! whole session inline in the map's buckets (1,984,532 B) fails it, and
 //! so do keeping 20 s of report rows in the OFF classifier (≈ 2.8 MB) or
 //! sessions that copy every event into a log again (≈ 18 MB).
 //!
-//! The ledger that enforces such budgets charges each session its boxed
-//! `Session` and its slot in the shard's maps, its analyzer's `mem_hint`,
-//! and its event log when the table has a snapshot directory, so a second
-//! test pins that the hint covers what a scored session's analyzer really
-//! holds, pending reports included, and that a logged session's charge
-//! covers what the whole session holds — the box, the map slot and the
-//! report rows its logged events own included — from the moment it opens
-//! and through an evict → restore. A spilled or quarantined session is
-//! charged what the table keeps of it, its spill record or tombstone and
-//! the map slot it left, so a third test pins that the charge covers a
-//! table left holding many of them.
+//! The ledger that enforces such budgets charges each slot of a shard's
+//! one sid-keyed map for what it holds (a live session its boxed
+//! `Session`, its analyzer's `mem_hint` and its event log when the table
+//! has a snapshot directory; a spilled session its spill record; a
+//! quarantined one its tombstone), and each shard for what its slot map
+//! and LRU allocate. A second test pins that the hint covers what a
+//! scored session's analyzer really holds, pending reports included, and
+//! that a logged session's charge covers what the whole table holds —
+//! the box, the maps and the report rows its logged events own included —
+//! from the moment it opens and through an evict → restore. A third test
+//! leaves a table holding many spilled and quarantined sessions and pins
+//! that the charge covers them and exceeds their live heap by at most a
+//! quarter, and a fourth ends every session of a churning one-shard table
+//! and pins that the buckets the ended sessions leave stay charged.
 //!
 //! The allocator counts live bytes for the measuring thread only, through
 //! a const-initialised thread-local flag, so tests running in parallel in
@@ -148,8 +151,8 @@ fn concurrent_sessions_without_snapshot_dir_within_budget() {
     let peak = PEAK.with(Cell::get);
 
     let stats = table.stats();
-    assert_eq!(stats.live, SESSIONS, "every session stays live");
-    assert_eq!(stats.events, fed);
+    assert_eq!(stats.sessions_live, SESSIONS, "every session stays live");
+    assert_eq!(stats.events_total, fed);
     let total: usize = feeds.iter().map(|t| t.len()).sum();
     assert_eq!(fed, total as u64, "every event was accepted");
     assert!(
@@ -179,14 +182,13 @@ fn concurrent_sessions_without_snapshot_dir_within_budget() {
 /// charge must cover the live heap once the session opens and after every
 /// frame, the session's log and the report rows its events own included.
 /// Halfway through each trace the session is evicted, and the charge must
-/// cover what the table keeps of it (its spill record and the map slots
-/// it left); then a query restores it from its snapshot, and the charge
+/// cover what the table keeps of it (its spill record and the shard's
+/// maps); then a query restores it from its snapshot, and the charge
 /// must cover the restored session too.
 /// Each table starts from zero live bytes right after it is built, before
-/// its session exists, so the session's box and its slot in the shard's
-/// maps, what the session grows to hold (analyzer, log, the heap its
-/// logged events own) and what an evict → restore leaves behind are what
-/// it measures.
+/// its session exists, so the session's box and the shard's maps, what
+/// the session grows to hold (analyzer, log, the heap its logged events
+/// own) and what an evict → restore leaves behind are what it measures.
 #[test]
 fn scored_session_mem_hint_covers_its_live_heap() {
     let traces = traces();
@@ -291,8 +293,10 @@ fn scored_session_mem_hint_covers_its_live_heap() {
 /// frames and are evicted, and then every fourth snapshot is corrupted and
 /// a query quarantines its session. The charge must cover the live heap
 /// after every eviction and every quarantine, when the table holds spill
-/// records and tombstones in its shards and maps whose sessions have all
-/// left. Counting starts right after `SessionTable::new`.
+/// records and tombstones in its shards' slots and maps whose sessions
+/// have all left, and at the end it may exceed the live heap by at most
+/// a quarter: the records and tombstones share their shards' maps.
+/// Counting starts right after `SessionTable::new`.
 #[test]
 fn spilled_and_quarantined_sessions_stay_charged() {
     let traces = traces();
@@ -340,15 +344,69 @@ fn spilled_and_quarantined_sessions_stay_charged() {
     }
     TRACKING.with(|on| on.set(false));
     let stats = table.stats();
-    assert_eq!(stats.live, 0);
-    assert_eq!(stats.quarantined, SESSIONS / 4);
-    assert_eq!(stats.spilled, SESSIONS - SESSIONS / 4);
+    assert_eq!(stats.sessions_live, 0);
+    assert_eq!(stats.sessions_quarantined, SESSIONS / 4);
+    assert_eq!(stats.sessions_spilled, SESSIONS - SESSIONS / 4);
+    let (live, charge) = (LIVE.with(Cell::get), table.bytes_used());
     eprintln!(
-        "{} spilled and {} quarantined sessions hold {} B live, charged {} B",
-        stats.spilled,
-        stats.quarantined,
+        "{} spilled and {} quarantined sessions hold {live} B live, charged {charge} B",
+        stats.sessions_spilled, stats.sessions_quarantined,
+    );
+    assert!(
+        charge as f64 <= 1.25 * live as f64,
+        "the table held {live} B live, overcharged at {charge} B"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A table's shard keeps the buckets its sessions leave behind: a one-shard
+/// table with scoring on opens [`SESSIONS`] sessions of two
+/// [`FRAME_EVENTS`]-event frames each and then ends them all, for a few
+/// rounds, so the slot map churns and removals leave tombstones in it.
+/// The charge must cover the live heap after every end, counted from right
+/// after `SessionTable::new`: the maps' buckets and the `lru`'s root leaf
+/// stay charged once their sessions are gone.
+#[test]
+fn ended_sessions_stay_charged_for_the_buckets_they_leave() {
+    let traces = traces();
+    let mut burst: Vec<TraceEvent> = Vec::with_capacity(FRAME_EVENTS);
+    let table = SessionTable::new(ServeConfig {
+        global_budget: 16 << 30,
+        session_budget: 1 << 30,
+        shards: 1,
+        scoring: Some(ScoringConfig::default()),
+        ..ServeConfig::default()
+    });
+    LIVE.with(|l| l.set(0));
+    TRACKING.with(|on| on.set(true));
+    let mut ends = 0;
+    for round in 0..4u64 {
+        let sids = (0..SESSIONS as u64).map(|k| round * 1_000 + k * 7);
+        for (k, sid) in sids.clone().enumerate() {
+            let trace = &traces[k % traces.len()];
+            for frame in trace.chunks(FRAME_EVENTS).take(2) {
+                burst.extend_from_slice(frame);
+                table
+                    .ingest_drain(sid, &mut burst, SessionMeta::default())
+                    .expect("wide-open budget never sheds");
+            }
+        }
+        for sid in sids {
+            table.end_session(sid).expect("the session ends");
+            ends += 1;
+            let (live, charge) = (LIVE.with(Cell::get), table.bytes_used());
+            assert!(
+                live <= charge as i64,
+                "round {round}: after ending session {sid} the table held {live} B live, \
+                 charged {charge} B"
+            );
+        }
+    }
+    TRACKING.with(|on| on.set(false));
+    eprintln!(
+        "{ends} ended sessions leave {} B live, charged {} B",
         LIVE.with(Cell::get),
         table.bytes_used()
     );
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(table.stats().sessions_ended, ends);
 }
